@@ -156,10 +156,14 @@ TEST(ParallelCampaignShard, MergedSnapshotMatchesSingleProcessByteForByte) {
 // --- merge-side rejection ------------------------------------------------
 
 // Produce a valid 2-shard round-1 part set once for the rejection tests.
+// Each case writes under its own prefix: ctest runs the cases as concurrent
+// processes, and a shared prefix lets one case rewrite another's part files
+// while that case reads them.
 class ShardMergeRejection : public ::testing::Test {
  protected:
   void SetUp() override {
-    prefix_ = testing::TempDir() + "shardrej";
+    prefix_ = testing::TempDir() + "shardrej_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name();
     const World& world = testfx::small_world();
     const PipelineOptions base = shard_test_options(1);
     run_shard_round(world, base, 1, 0, 2, prefix_);

@@ -4,6 +4,9 @@
 // campaign's thread-scaling curve.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,7 +15,9 @@
 #include "controlplane/bgp.h"
 #include "core/pipeline.h"
 #include "dataplane/traceroute.h"
+#include "io/snapshot.h"
 #include "query/engine.h"
+#include "query/fabric_view.h"
 #include "topology/generator.h"
 #include "util/rng.h"
 
@@ -146,20 +151,29 @@ BENCHMARK(BM_CampaignRound1)
 
 // Query saturation: N reader threads hammering one shared QueryEngine with
 // a deterministic mix of point lookups, per-peer scans, and aggregate
-// counts. The engine is immutable after build and counters are relaxed
-// atomics, so throughput should scale with the thread count (the acceptance
-// gate for src/query/'s zero-locking claim).
+// counts, each one QueryRequest through execute(). The engine is immutable
+// after build and counters are relaxed atomics, so throughput should scale
+// with the thread count (the acceptance gate for src/query/'s zero-locking
+// claim).
 void BM_QuerySaturation(benchmark::State& state) {
-  // Built once: full pipeline run -> snapshot -> index. Shared by every
-  // thread of every thread-count variant.
-  static const FabricIndex* index = [] {
+  // Built once: full pipeline run -> saved snapshot -> FabricView over an
+  // 8-aligned copy of the bytes (the blob a serve daemon maps). Shared by
+  // every thread of every thread-count variant.
+  static const FabricView* view = [] {
     Pipeline pipeline(bench_world());
-    return new FabricIndex(pipeline.run_snapshot());
+    std::ostringstream out;
+    save_snapshot(out, pipeline.run_snapshot());
+    const std::string bytes = out.str();
+    auto* words = new std::vector<std::uint64_t>((bytes.size() + 7) / 8);
+    std::memcpy(words->data(), bytes.data(), bytes.size());
+    const auto file = parse_snapshot(
+        reinterpret_cast<const unsigned char*>(words->data()), bytes.size());
+    return new FabricView(file->blob);
   }();
   static MetricsRegistry* registry = new MetricsRegistry(true);
-  static const QueryEngine* engine = new QueryEngine(*index, registry);
+  static const QueryEngine* engine = new QueryEngine(*view, registry);
 
-  const std::vector<std::uint32_t>& peers = index->peer_asns();
+  const Span32 peers = view->asn_list();
   // Disjoint per-thread query streams: the thread index is expanded through
   // splitmix64 before seeding, so no two reader threads replay the same
   // index sequence (an xor of the raw index only perturbs low seed bits,
@@ -169,27 +183,29 @@ void BM_QuerySaturation(benchmark::State& state) {
   Rng rng(splitmix64(seed_state));
   for (auto _ : state) {
     const std::uint64_t roll = rng.next();
+    QueryRequest request;
     switch (roll & 7u) {
       case 0:
-        benchmark::DoNotOptimize(engine->counts());
+        request.kind = QueryKind::kCounts;
         break;
       case 1:
-        if (!peers.empty())
-          benchmark::DoNotOptimize(
-              engine->peers_of(Asn{peers[roll % peers.size()]}));
+        if (peers.empty()) continue;
+        request.kind = QueryKind::kPeersOf;
+        request.asn = peers[roll % peers.size()];
         break;
       case 2:
-        benchmark::DoNotOptimize(engine->vpi_candidates());
+        request.kind = QueryKind::kVpiCandidates;
         break;
       case 3:
-        benchmark::DoNotOptimize(
-            engine->interfaces_in(static_cast<std::uint32_t>(roll >> 8) % 64));
+        request.kind = QueryKind::kInterfacesIn;
+        request.metro = static_cast<std::uint32_t>(roll >> 8) % 64;
         break;
       default:
-        benchmark::DoNotOptimize(
-            engine->lookup(Ipv4(static_cast<std::uint32_t>(roll >> 16))));
+        request.kind = QueryKind::kLookup;
+        request.address = static_cast<std::uint32_t>(roll >> 16);
         break;
     }
+    benchmark::DoNotOptimize(engine->execute(request));
   }
   // Each thread processed exactly its own iteration count — the framework
   // sums per-thread items, so counting anything shared here double-reports.

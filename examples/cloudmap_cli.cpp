@@ -74,6 +74,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -88,11 +89,11 @@
 #include "obs/emit.h"
 #include "query/diff.h"
 #include "query/engine.h"
-#include "query/fabric_index.h"
 #include "query/request.h"
 #include "scenario/score.h"
 #include "scenario/world_hazards.h"
 #include "serve/client.h"
+#include "serve/server.h"
 
 using namespace cloudmap;
 
@@ -599,14 +600,16 @@ int cmd_query(const std::vector<std::string>& args,
     return 2;
   }
   std::string error;
-  std::optional<RunSnapshot> snap = load_snapshot_file(args[1], &error);
-  if (!snap) {
+  MetricsRegistry registry(front.pipeline.metrics);
+  // The daemon's own loader: answers come from the same mapping, view and
+  // engine a cloudmap_serve process builds over this file.
+  const std::shared_ptr<const serve::ServedSnapshot> served =
+      serve::load_served_snapshot(args[1], &registry, &error);
+  if (served == nullptr) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  const FabricIndex index(std::move(*snap));
-  MetricsRegistry registry(front.pipeline.metrics);
-  const QueryEngine engine(index, &registry);
+  const SnapshotContainer& file = served->mapping.container();
   const std::string& action = args[2];
 
   if (action == "resave") {
@@ -614,16 +617,16 @@ int cmd_query(const std::vector<std::string>& args,
       std::fprintf(stderr, "query resave requires an output path\n");
       return 2;
     }
-    if (!save_snapshot_file(args[3], index.snapshot(), &error)) {
+    if (!save_snapshot_file(args[3], decode_snapshot(file), &error)) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
     std::printf("resaved %s -> %s\n", args[1].c_str(), args[3].c_str());
   } else {
-    const QueryExec local = [&engine](const QueryRequest& request,
+    const QueryExec local = [&served](const QueryRequest& request,
                                       QueryResponse& response,
                                       std::string*) {
-      response = engine.execute(request);
+      response = served->engine->execute(request);
       return true;
     };
     if (const int rc = run_action(local, args, 2, front.min_confidence))
@@ -639,13 +642,13 @@ int cmd_query(const std::vector<std::string>& args,
     // The stage section replays the producing run's reports (stored in the
     // snapshot); the counters section carries this process's query.* totals.
     MetricsMeta meta;
-    meta.seed = index.snapshot().seed;
-    meta.threads = index.snapshot().threads;
-    meta.subject =
-        index.snapshot().subject < kCloudProviderCount
-            ? to_string(static_cast<CloudProvider>(index.snapshot().subject))
-            : "unknown";
-    write_metrics_json(out, meta, index.snapshot().stage_reports, registry);
+    meta.seed = file.seed;
+    meta.threads = file.threads;
+    meta.subject = file.subject < kCloudProviderCount
+                       ? to_string(static_cast<CloudProvider>(file.subject))
+                       : "unknown";
+    write_metrics_json(out, meta, decode_snapshot(file).stage_reports,
+                       registry);
     std::printf("metrics: wrote %s\n", front.metrics_json.c_str());
   }
   return 0;

@@ -1,9 +1,9 @@
-// Fuzz the snapshot container end to end: the copying loader across
-// format versions 1–3, the save→load→save byte-stability contract on
-// anything it accepts, and the zero-copy MappedSnapshot → FabricView →
-// QueryEngine derivation over the same bytes. Any crash, sanitizer report,
-// or broken invariant (accepted input that does not re-save stably; mapper
-// accepting what the loader refused) aborts.
+// Fuzz the snapshot container end to end: the copying loader, the
+// save→load→save byte-stability contract on anything it accepts, and the
+// zero-copy MappedSnapshot → FabricView → QueryEngine derivation over the
+// same bytes. Any crash, sanitizer report, or broken invariant (accepted
+// input that does not re-save stably; mapper accepting what the loader
+// refused) aborts.
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -39,9 +39,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     if (first.str() != second.str()) __builtin_trap();
   }
 
-  // The zero-copy path over the same bytes. v1/v2 files are refused here
-  // by design; a file the mapper accepts but the loader refused means the
-  // two validators disagree about what a well-formed v3 file is.
+  // The zero-copy path over the same bytes. Both loaders run one container
+  // parser (io/snapshot.h); a file the mapper accepts but the loader refused
+  // means they disagree about what a well-formed file is.
   fuzzhn::ScratchFile file(data, size);
   if (!file.ok()) return 0;
   std::optional<MappedSnapshot> mapped = MappedSnapshot::open(file.path(),

@@ -9,6 +9,9 @@
 //
 // Output is a pure function of this file: regenerating must be a no-op
 // unless the wire formats changed (then re-run and commit the result).
+// snapshot/v1.snap, v2.snap and regress-forged-segment-count.snap are
+// committed files in the retired v1/v2 layouts, which the writer no longer
+// emits; they stay in the corpus as inputs both loaders must refuse.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -112,60 +115,80 @@ RunSnapshot sample_snapshot() {
   return snap;
 }
 
-std::string snapshot_bytes(const RunSnapshot& snap, std::uint16_t version) {
+std::string snapshot_bytes(const RunSnapshot& snap) {
   std::ostringstream out;
-  save_snapshot(out, snap, version);
+  save_snapshot(out, snap);
   return out.str();
+}
+
+std::uint64_t read_le(const std::string& bytes, std::size_t offset,
+                      std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i)
+    value |= std::uint64_t{static_cast<unsigned char>(bytes[offset + i])}
+             << (8 * i);
+  return value;
+}
+
+void patch_u64(std::string& bytes, std::size_t offset, std::uint64_t value) {
+  for (std::size_t i = 0; i < 8; ++i)
+    bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+}
+
+// Snapshot container layout: a 12-byte header whose u32 section count sits
+// at offset 8, then 24-byte table entries { u32 id, u64 offset, u64 size,
+// u32 CRC }. Returns the table position of the first entry for `id`.
+std::size_t table_entry(const std::string& bytes, std::uint32_t id) {
+  const auto count = static_cast<std::uint32_t>(read_le(bytes, 8, 4));
+  for (std::uint32_t s = 0; s < count; ++s)
+    if (static_cast<unsigned char>(bytes[12 + s * 24]) == id)
+      return 12 + s * 24;
+  std::fprintf(stderr, "make_corpus: no section %u\n", id);
+  std::exit(1);
 }
 
 void emit_snapshot_corpus(const std::filesystem::path& dir) {
   const RunSnapshot sample = sample_snapshot();
-  write_file(dir / "v1.snap", snapshot_bytes(sample, 1));
-  write_file(dir / "v2.snap", snapshot_bytes(sample, 2));
-  write_file(dir / "v3.snap", snapshot_bytes(sample, 3));
+  write_file(dir / "v3.snap", snapshot_bytes(sample));
 
   RunSnapshot hazard = sample;
   hazard.hazard_profile = "loss:p=0.25;churn:rounds=2";
   hazard.hazard_metrics = {{"f1_delta", -0.125}, {"recall", 0.875}};
-  write_file(dir / "v3-hazard.snap", snapshot_bytes(hazard, 3));
+  const std::string hazard_bytes = snapshot_bytes(hazard);
+  write_file(dir / "v3-hazard.snap", hazard_bytes);
 
-  write_file(dir / "empty.snap", snapshot_bytes(RunSnapshot{}, 3));
+  write_file(dir / "empty.snap", snapshot_bytes(RunSnapshot{}));
 
-  // Regression: a v2 file whose segments section declares 0xFFFFFFFF
-  // segments (section CRC re-stamped so the forgery reaches the decoder).
-  // The count-vs-bytes cap must reject it without touching the allocator.
-  std::string forged = snapshot_bytes(sample, 2);
-  // Find the segments section (id 2) in the table: u32 count at offset 8,
-  // then count × 24-byte entries of { u32 id, u64 offset, u64 size,
-  // u32 CRC }. Its payload starts with the u32 segment count.
-  std::uint32_t section_count = 0;
-  for (std::size_t i = 0; i < 4; ++i)
-    section_count |= std::uint32_t{
-        static_cast<unsigned char>(forged[8 + i])} << (8 * i);
-  std::size_t entry = 0;
-  for (std::uint32_t s = 0; s < section_count; ++s) {
-    if (static_cast<unsigned char>(forged[12 + s * 24]) == 2) {
-      entry = 12 + s * 24;
-      break;
-    }
+  // Regression: the hazard section's profile length set to 0 (section CRC
+  // re-stamped). The copying loader refused it while the mapper, which
+  // used to parse the container separately, skipped section 8 and accepted.
+  std::string malformed = hazard_bytes;
+  const std::size_t hazard_entry = table_entry(malformed, 8);
+  const auto hazard_off =
+      static_cast<std::size_t>(read_le(malformed, hazard_entry + 4, 8));
+  const auto hazard_size =
+      static_cast<std::size_t>(read_le(malformed, hazard_entry + 12, 8));
+  patch_u32(malformed, hazard_off, 0);
+  patch_u32(malformed, hazard_entry + 20,
+            crc_of(malformed, hazard_off, hazard_size));
+  write_file(dir / "regress-malformed-hazard.snap", malformed);
+
+  // Regression: a second table entry for the hazard section, pointing at
+  // the same payload — the same loader/mapper split as above. Every payload
+  // moves 24 bytes down to make room, which keeps the flat section
+  // 8-aligned.
+  const auto count = static_cast<std::uint32_t>(read_le(hazard_bytes, 8, 4));
+  const std::size_t table_end = 12 + std::size_t{count} * 24;
+  std::string duplicate = hazard_bytes.substr(0, table_end) +
+                          hazard_bytes.substr(hazard_entry, 24) +
+                          hazard_bytes.substr(table_end);
+  patch_u32(duplicate, 8, count + 1);
+  for (std::uint32_t s = 0; s <= count; ++s) {
+    const std::size_t offset_field = 12 + s * 24 + 4;
+    patch_u64(duplicate, offset_field,
+              read_le(duplicate, offset_field, 8) + 24);
   }
-  if (entry == 0) {
-    std::fprintf(stderr, "make_corpus: no segments section in v2 file\n");
-    std::exit(1);
-  }
-  std::uint64_t seg_off = 0;
-  std::uint64_t seg_size = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    seg_off |= std::uint64_t{
-        static_cast<unsigned char>(forged[entry + 4 + i])} << (8 * i);
-    seg_size |= std::uint64_t{
-        static_cast<unsigned char>(forged[entry + 12 + i])} << (8 * i);
-  }
-  patch_u32(forged, static_cast<std::size_t>(seg_off), 0xFFFFFFFFu);
-  patch_u32(forged, entry + 20,
-            crc_of(forged, static_cast<std::size_t>(seg_off),
-                   static_cast<std::size_t>(seg_size)));
-  write_file(dir / "regress-forged-segment-count.snap", forged);
+  write_file(dir / "regress-duplicate-hazard.snap", duplicate);
 }
 
 Campaign::SweepChunkResult sample_result(std::uint32_t salt) {

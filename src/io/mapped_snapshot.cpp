@@ -5,27 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <utility>
 
-#include "io/snapshot.h"
-#include "io/snapshot_v3.h"
-#include "io/wire.h"
-
 namespace cloudmap {
-namespace {
-
-// Container framing, as documented in io/snapshot.h.
-constexpr char kMagic[6] = {'C', 'M', 'S', 'N', 'A', 'P'};
-constexpr std::size_t kHeaderSize = 12;    // magic + u16 version + u32 count
-constexpr std::size_t kTableEntrySize = 24;  // id + offset + size + crc
-
-bool fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = "snapshot: " + message;
-  return false;
-}
-
-}  // namespace
 
 MappedSnapshot::~MappedSnapshot() { reset(); }
 
@@ -38,11 +20,7 @@ MappedSnapshot& MappedSnapshot::operator=(MappedSnapshot&& other) noexcept {
     reset();
     map_ = std::exchange(other.map_, nullptr);
     map_size_ = std::exchange(other.map_size_, 0);
-    blob_ = std::exchange(other.blob_, nullptr);
-    blob_size_ = std::exchange(other.blob_size_, 0);
-    seed_ = std::exchange(other.seed_, 0);
-    threads_ = std::exchange(other.threads_, 0);
-    subject_ = std::exchange(other.subject_, 0);
+    container_ = std::exchange(other.container_, {});
   }
   return *this;
 }
@@ -51,109 +29,42 @@ void MappedSnapshot::reset() noexcept {
   if (map_ != nullptr) ::munmap(map_, map_size_);
   map_ = nullptr;
   map_size_ = 0;
-  blob_ = nullptr;
-  blob_size_ = 0;
+  container_ = {};
 }
 
 std::optional<MappedSnapshot> MappedSnapshot::open(const std::string& path,
                                                    std::string* error) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    fail(error, "cannot open " + path);
+  const auto fail = [&](const std::string& message)
+      -> std::optional<MappedSnapshot> {
+    if (error != nullptr) *error = "snapshot: " + message;
     return std::nullopt;
-  }
+  };
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return fail("cannot open " + path);
   struct stat st = {};
   if (::fstat(fd, &st) != 0 || st.st_size < 0) {
     ::close(fd);
-    fail(error, "cannot stat " + path);
-    return std::nullopt;
+    return fail("cannot stat " + path);
   }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  if (size < kHeaderSize) {
-    ::close(fd);
-    fail(error, "file shorter than header");
-    return std::nullopt;
-  }
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps the file alive
-  if (map == MAP_FAILED) {
-    fail(error, "cannot mmap " + path);
-    return std::nullopt;
-  }
-
   MappedSnapshot snap;
-  snap.map_ = map;
-  snap.map_size_ = size;
-  const auto* data = static_cast<const unsigned char*>(map);
-
-  const auto reject = [&](const std::string& message)
-      -> std::optional<MappedSnapshot> {
-    fail(error, message);
-    return std::nullopt;  // snap's destructor unmaps
-  };
-
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
-    return reject("bad magic (not a cloudmap snapshot)");
-  wire::Cursor header{data, size, sizeof(kMagic)};
-  const std::uint16_t version = header.u16();
-  if (version != kSnapshotFormatVersion)
-    return reject("zero-copy load needs format version " +
-                  std::to_string(kSnapshotFormatVersion) + ", file is " +
-                  std::to_string(version) +
-                  " (load it with the copying loader and re-save)");
-  const std::uint32_t section_count = header.u32();
-  if (section_count > 1024) return reject("implausible section count");
-  if (!header.need(std::size_t{section_count} * kTableEntrySize))
-    return reject("truncated section table");
-
-  // Same container discipline as the copying loader: every section's CRC
-  // must verify and every byte must be owned by the header, the table, or a
-  // payload. Unknown section ids are skipped (forward compat).
-  bool seen_meta = false;
-  bool seen_flat = false;
-  std::uint64_t end_of_payloads =
-      kHeaderSize + std::uint64_t{section_count} * kTableEntrySize;
-  for (std::uint32_t i = 0; i < section_count; ++i) {
-    const std::uint32_t id = header.u32();
-    const std::uint64_t offset = header.u64();
-    const std::uint64_t payload_size = header.u64();
-    const std::uint32_t crc = header.u32();
-    if (offset > size || payload_size > size - offset)
-      return reject("section " + std::to_string(id) +
-                    " extends past end of file");
-    end_of_payloads = std::max(end_of_payloads, offset + payload_size);
-    if (snapshot_crc32(data + offset, payload_size) != crc)
-      return reject("section " + std::to_string(id) + " CRC mismatch");
-    if (id == static_cast<std::uint32_t>(SnapshotSection::kMeta)) {
-      if (seen_meta) return reject("duplicate section 1");
-      seen_meta = true;
-      wire::Cursor body{data + offset, static_cast<std::size_t>(payload_size),
-                        0};
-      snap.seed_ = body.u64();
-      snap.threads_ = body.i32();
-      snap.subject_ = body.u8();
-      bool pad_ok = true;
-      for (int b = 0; b < 7; ++b) pad_ok = pad_ok && body.u8() == 0;
-      if (!pad_ok || !body.at_end())
-        return reject("section 1 is malformed (bad field or trailing bytes)");
-    } else if (id == static_cast<std::uint32_t>(SnapshotSection::kFlatFabric)) {
-      if (seen_flat) return reject("duplicate section 7");
-      seen_flat = true;
-      if (offset % 8 != 0)
-        return reject("flat fabric section is not 8-byte aligned");
-      std::string flat_error;
-      if (!snapv3::validate_flat_fabric(
-              data + offset, static_cast<std::size_t>(payload_size),
-              &flat_error))
-        return reject(flat_error);
-      snap.blob_ = data + offset;
-      snap.blob_size_ = static_cast<std::size_t>(payload_size);
+  snap.map_size_ = static_cast<std::size_t>(st.st_size);
+  // mmap refuses an empty range; an empty file still goes through the
+  // parser (over no bytes) so it is refused with the loader's diagnostic.
+  if (snap.map_size_ > 0) {
+    void* map = ::mmap(nullptr, snap.map_size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map == MAP_FAILED) {
+      ::close(fd);
+      return fail("cannot mmap " + path);
     }
+    snap.map_ = map;
   }
-  if (!seen_meta) return reject("missing required section 1");
-  if (!seen_flat) return reject("missing required section 7");
-  if (end_of_payloads != size)
-    return reject("trailing bytes past the last section");
+  ::close(fd);  // the mapping keeps the file alive
+
+  std::optional<SnapshotContainer> container =
+      parse_snapshot(static_cast<const unsigned char*>(snap.map_),
+                     snap.map_size_, error);
+  if (!container) return std::nullopt;  // snap's destructor unmaps
+  snap.container_ = std::move(*container);
   return snap;
 }
 

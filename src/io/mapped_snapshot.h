@@ -1,15 +1,14 @@
-// Zero-copy loader for format-v3 snapshot files: mmap the file read-only,
-// verify the container (magic, version, section table, per-section CRC) and
-// the flat-fabric blob (io/snapshot_v3.h), then hand out a pointer straight
-// into the mapping. Nothing is decoded and nothing per-segment is
+// Zero-copy loader for snapshot files: mmap the file read-only, run the
+// same container parser as the copying loader (parse_snapshot in
+// io/snapshot.h, which also validates the flat-fabric blob), then hand out
+// a pointer straight into the mapping. Nothing per-segment is decoded or
 // allocated — a FabricView (query/fabric_view.h) built over blob() serves
-// queries out of the page cache, which is what makes daemon hot-swaps cheap:
-// opening a new snapshot costs one validation pass, not a rebuild.
+// queries out of the page cache, which is what makes daemon hot-swaps
+// cheap: opening a new snapshot costs one validation pass, not a rebuild.
 //
-// Only version 3 files qualify (v1/v2 need the copying loader in
-// io/snapshot.h); the v3 writer pads the meta section so the blob sits
-// 8-byte aligned at file offset 80, and the mapping itself is page-aligned,
-// so the in-place record casts in V3View are always aligned.
+// The parser requires the blob at an 8-aligned file offset and the mapping
+// itself is page-aligned, so the in-place record casts in V3View are always
+// aligned.
 //
 // The object owns the mapping: move-only, unmapped on destruction. Keep it
 // alive as long as any view into blob() is in use (serve/server.h bundles
@@ -17,17 +16,18 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <string>
+
+#include "io/snapshot.h"
 
 namespace cloudmap {
 
 class MappedSnapshot {
  public:
-  // Map and validate `path`. Returns nullopt (and a one-line diagnostic in
-  // *error, when given) if the file cannot be mapped, is not a v3 snapshot,
-  // fails any CRC, or fails flat-fabric validation.
+  // Map and parse `path`. Returns nullopt (and a one-line diagnostic in
+  // *error, when given) if the file cannot be mapped or parse_snapshot
+  // refuses it.
   static std::optional<MappedSnapshot> open(const std::string& path,
                                             std::string* error = nullptr);
 
@@ -38,31 +38,18 @@ class MappedSnapshot {
   MappedSnapshot(const MappedSnapshot&) = delete;
   MappedSnapshot& operator=(const MappedSnapshot&) = delete;
 
+  // The parsed file: run meta, hazard provenance, and the blob location.
+  const SnapshotContainer& container() const { return container_; }
   // The validated flat-fabric blob inside the mapping (8-byte aligned).
-  const unsigned char* blob() const { return blob_; }
-  std::size_t blob_size() const { return blob_size_; }
-
-  // Run meta carried next to the blob.
-  std::uint64_t seed() const { return seed_; }
-  std::int32_t threads() const { return threads_; }
-  std::uint8_t subject() const { return subject_; }
-
-  // Whole-file view, for tools that re-serve the raw bytes.
-  const unsigned char* file_data() const {
-    return static_cast<const unsigned char*>(map_);
-  }
-  std::size_t file_size() const { return map_size_; }
+  const unsigned char* blob() const { return container_.blob; }
+  std::size_t blob_size() const { return container_.blob_size; }
 
  private:
   void reset() noexcept;
 
   void* map_ = nullptr;
   std::size_t map_size_ = 0;
-  const unsigned char* blob_ = nullptr;
-  std::size_t blob_size_ = 0;
-  std::uint64_t seed_ = 0;
-  std::int32_t threads_ = 0;
-  std::uint8_t subject_ = 0;
+  SnapshotContainer container_;
 };
 
 }  // namespace cloudmap

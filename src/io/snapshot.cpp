@@ -37,122 +37,15 @@ using wire::put_u8;
 
 // --- section payloads -----------------------------------------------------
 
+// Meta, zero-padded to 20 bytes: the flat payload that follows then lands
+// at file offset 12 + n×24 + 20, a multiple of 8 for any section count n,
+// and the mmap path casts it to its record structs in place.
 std::string encode_meta(const RunSnapshot& s) {
   std::string out;
   put_u64(out, s.seed);
   put_i32(out, s.threads);
   put_u8(out, s.subject);
-  return out;
-}
-
-std::string encode_segments(const RunSnapshot& s) {
-  std::string out;
-  std::size_t payload = 4;
-  for (const SnapshotSegment& seg : s.segments)
-    payload += 43 + 4 * seg.regions.size() + 4 * seg.dest_slash24s.size();
-  out.reserve(payload);
-  put_u32(out, static_cast<std::uint32_t>(s.segments.size()));
-  for (const SnapshotSegment& seg : s.segments) {
-    put_u32(out, seg.abi.value());
-    put_u32(out, seg.cbi.value());
-    put_u32(out, seg.prior_abi.value());
-    put_u32(out, seg.post_cbi.value());
-    put_i32(out, seg.first_round);
-    put_u8(out, static_cast<std::uint8_t>(seg.confirmation));
-    put_u8(out, static_cast<std::uint8_t>((seg.shifted ? 1 : 0) |
-                                          (seg.ixp ? 2 : 0) |
-                                          (seg.vpi ? 4 : 0)));
-    put_u8(out, seg.group);
-    put_u32(out, seg.owner_hint.value);
-    put_u32(out, seg.peer_asn.value);
-    put_u32(out, seg.peer_org.value);
-    put_u32(out, static_cast<std::uint32_t>(seg.regions.size()));
-    for (const std::uint32_t region : seg.regions) put_u32(out, region);
-    put_u32(out, static_cast<std::uint32_t>(seg.dest_slash24s.size()));
-    for (const std::uint32_t dest : seg.dest_slash24s) put_u32(out, dest);
-  }
-  return out;
-}
-
-std::string encode_pins(const RunSnapshot& s) {
-  std::string out;
-  out.reserve(8 + 14 * s.pins.size() + 8 * s.regional.size());
-  put_u32(out, static_cast<std::uint32_t>(s.pins.size()));
-  for (const SnapshotPin& pin : s.pins) {
-    put_u32(out, pin.address);
-    put_u32(out, pin.metro);
-    put_u8(out, pin.rule);
-    put_u8(out, pin.anchor_source);
-    put_i32(out, pin.round);
-  }
-  put_u32(out, static_cast<std::uint32_t>(s.regional.size()));
-  for (const auto& [address, region] : s.regional) {
-    put_u32(out, address);
-    put_u32(out, region);
-  }
-  return out;
-}
-
-std::string encode_aliases(const RunSnapshot& s) {
-  std::string out;
-  std::size_t payload = 4;
-  for (const std::vector<std::uint32_t>& set : s.alias_sets)
-    payload += 4 + 4 * set.size();
-  out.reserve(payload);
-  put_u32(out, static_cast<std::uint32_t>(s.alias_sets.size()));
-  for (const std::vector<std::uint32_t>& set : s.alias_sets) {
-    put_u32(out, static_cast<std::uint32_t>(set.size()));
-    for (const std::uint32_t member : set) put_u32(out, member);
-  }
-  return out;
-}
-
-std::string encode_metrics(const RunSnapshot& s, std::uint16_t version) {
-  std::string out;
-  std::size_t payload = 4;
-  for (const StageReport& report : s.stage_reports) {
-    payload += 69 + (version >= 2 ? 32 : 0);
-    for (const auto& [name, value] : report.tallies)
-      payload += 4 + name.size() + 8;
-  }
-  out.reserve(payload);
-  put_u32(out, static_cast<std::uint32_t>(s.stage_reports.size()));
-  for (const StageReport& report : s.stage_reports) {
-    put_u8(out, static_cast<std::uint8_t>(report.id));
-    put_i32(out, report.threads);
-    put_u32(out, report.workers);
-    put_u64(out, report.targets);
-    put_u64(out, report.traceroutes);
-    put_u64(out, report.probes);
-    put_u64(out, report.bgp_cache_hits);
-    put_u64(out, report.bgp_cache_misses);
-    if (version >= 2) {
-      put_u64(out, report.retries);
-      put_u64(out, report.backoff_waits);
-      put_u64(out, report.backoff_ticks);
-      put_u64(out, report.recovered_targets);
-    }
-    put_f64(out, report.wall_ms);
-    put_f64(out, report.worker_utilization);
-    put_u32(out, static_cast<std::uint32_t>(report.tallies.size()));
-    for (const auto& [name, value] : report.tallies) {
-      put_string(out, name);
-      put_f64(out, value);
-    }
-  }
-  return out;
-}
-
-std::string encode_confidence(const RunSnapshot& s) {
-  std::string out;
-  out.reserve(4 + 24 * s.segments.size());
-  put_u32(out, static_cast<std::uint32_t>(s.segments.size()));
-  for (const SnapshotSegment& seg : s.segments) {
-    put_u32(out, seg.observations);
-    put_u32(out, seg.rounds_mask);
-    put_f64(out, seg.hop_density);
-    put_f64(out, seg.confidence);
-  }
+  out.append(7, '\0');
   return out;
 }
 
@@ -176,167 +69,28 @@ std::string encode_hazard(const RunSnapshot& s) {
 
 // --- section decoders (each over its own bounds-checked cursor) -----------
 
-bool decode_meta(Cursor& in, RunSnapshot& s) {
-  s.seed = in.u64();
-  s.threads = in.i32();
-  s.subject = in.u8();
-  return in.at_end();
-}
-
-// v3 pads the meta payload to 20 bytes for alignment; the reserved bytes
+// The meta payload is padded to 20 bytes for alignment; the reserved bytes
 // must be zero so they stay available for future fields.
-bool decode_meta_v3(Cursor& in, RunSnapshot& s) {
-  s.seed = in.u64();
-  s.threads = in.i32();
-  s.subject = in.u8();
+bool decode_meta(Cursor& in, SnapshotContainer& c) {
+  c.seed = in.u64();
+  c.threads = in.i32();
+  c.subject = in.u8();
   for (int i = 0; i < 7; ++i)
     if (in.u8() != 0) return false;
   return in.at_end();
 }
 
-bool decode_segments(Cursor& in, RunSnapshot& s) {
-  // Every declared count below is capped against the bytes actually
-  // present (wire::bounded_count) before the reserve, so a forged count
-  // field fails the section instead of reaching the allocator.
-  const std::uint32_t count = wire::bounded_count(in, 43);
-  for (std::uint32_t i = 0; i < count && !in.failed; ++i) {
-    SnapshotSegment seg;
-    seg.abi = Ipv4(in.u32());
-    seg.cbi = Ipv4(in.u32());
-    seg.prior_abi = Ipv4(in.u32());
-    seg.post_cbi = Ipv4(in.u32());
-    seg.first_round = in.i32();
-    seg.confirmation = wire::checked_read<Confirmation>(
-        in, static_cast<std::uint8_t>(Confirmation::kAliasRelabel));
-    const std::uint8_t flags = in.u8();
-    if (flags > 7) return false;
-    seg.shifted = (flags & 1) != 0;
-    seg.ixp = (flags & 2) != 0;
-    seg.vpi = (flags & 4) != 0;
-    seg.group = in.u8();
-    if (seg.group != kSnapshotNoGroup && seg.group >= 6) return false;
-    seg.owner_hint = Asn{in.u32()};
-    seg.peer_asn = Asn{in.u32()};
-    seg.peer_org = OrgId{in.u32()};
-    const std::uint32_t region_count = wire::bounded_count(in, 4);
-    seg.regions.reserve(region_count);
-    for (std::uint32_t r = 0; r < region_count && !in.failed; ++r)
-      seg.regions.push_back(in.u32());
-    const std::uint32_t dest_count = wire::bounded_count(in, 4);
-    seg.dest_slash24s.reserve(dest_count);
-    for (std::uint32_t d = 0; d < dest_count && !in.failed; ++d)
-      seg.dest_slash24s.push_back(in.u32());
-    s.segments.push_back(std::move(seg));
-  }
-  return in.at_end();
-}
-
-bool decode_pins(Cursor& in, RunSnapshot& s) {
-  const std::uint32_t pin_count = wire::bounded_count(in, 14);
-  for (std::uint32_t i = 0; i < pin_count && !in.failed; ++i) {
-    SnapshotPin pin;
-    pin.address = in.u32();
-    pin.metro = in.u32();
-    pin.rule = wire::checked_read<std::uint8_t>(in, 2);  // PinRule range
-    pin.anchor_source =
-        wire::checked_read<std::uint8_t>(in, 4);  // AnchorSource range
-    pin.round = in.i32();
-    s.pins.push_back(pin);
-  }
-  const std::uint32_t regional_count = wire::bounded_count(in, 8);
-  for (std::uint32_t i = 0; i < regional_count && !in.failed; ++i) {
-    const std::uint32_t address = in.u32();
-    const std::uint32_t region = in.u32();
-    s.regional.emplace_back(address, region);
-  }
-  return in.at_end();
-}
-
-bool decode_aliases(Cursor& in, RunSnapshot& s) {
-  const std::uint32_t set_count = wire::bounded_count(in, 4);
-  for (std::uint32_t i = 0; i < set_count && !in.failed; ++i) {
-    const std::uint32_t member_count = wire::bounded_count(in, 4);
-    std::vector<std::uint32_t> set;
-    set.reserve(member_count);
-    for (std::uint32_t m = 0; m < member_count && !in.failed; ++m)
-      set.push_back(in.u32());
-    s.alias_sets.push_back(std::move(set));
-  }
-  return in.at_end();
-}
-
-bool decode_metrics(Cursor& in, RunSnapshot& s, std::uint16_t version) {
-  // 69 bytes is the v1 per-report floor; v2 reports are larger, so the
-  // count-vs-bytes cap below is valid for both layouts.
-  const std::uint32_t report_count = wire::bounded_count(in, 69);
-  for (std::uint32_t i = 0; i < report_count && !in.failed; ++i) {
-    StageReport report;
-    report.id = wire::checked_read<StageId>(in, kStageCount - 1);
-    report.threads = in.i32();
-    report.workers = in.u32();
-    report.targets = in.u64();
-    report.traceroutes = in.u64();
-    report.probes = in.u64();
-    report.bgp_cache_hits = in.u64();
-    report.bgp_cache_misses = in.u64();
-    if (version >= 2) {
-      report.retries = in.u64();
-      report.backoff_waits = in.u64();
-      report.backoff_ticks = in.u64();
-      report.recovered_targets = in.u64();
-    }
-    report.wall_ms = in.f64();
-    report.worker_utilization = in.f64();
-    // 12 = u32 name length (empty name) + f64 value.
-    const std::uint32_t tally_count = wire::bounded_count(in, 12);
-    for (std::uint32_t t = 0; t < tally_count && !in.failed; ++t) {
-      std::string name = in.str();
-      const double value = in.f64();
-      report.tallies.emplace_back(std::move(name), value);
-    }
-    s.stage_reports.push_back(std::move(report));
-  }
-  return in.at_end();
-}
-
-// One decoded confidence record; buffered instead of applied in place so
-// the loader tolerates the confidence section appearing before the segments
-// section in the table (the count check runs after every section decoded).
-struct ConfidenceRecord {
-  std::uint32_t observations = 0;
-  std::uint32_t rounds_mask = 0;
-  double hop_density = 0.0;
-  double confidence = 0.0;
-};
-
-bool decode_confidence(Cursor& in, std::vector<ConfidenceRecord>& records) {
-  const std::uint32_t count = wire::bounded_count(in, 24);
-  records.reserve(count);
-  for (std::uint32_t i = 0; i < count && !in.failed; ++i) {
-    ConfidenceRecord record;
-    record.observations = in.u32();
-    record.rounds_mask = in.u32();
-    record.hop_density = in.f64();
-    record.confidence = in.f64();
-    // Both are scores in [0, 1]; the negated comparisons also reject NaN.
-    if (!(record.hop_density >= 0.0) || record.hop_density > 1.0) return false;
-    if (!(record.confidence >= 0.0) || record.confidence > 1.0) return false;
-    records.push_back(record);
-  }
-  return in.at_end();
-}
-
-bool decode_hazard(Cursor& in, RunSnapshot& s) {
-  s.hazard_profile = in.str();
+bool decode_hazard(Cursor& in, SnapshotContainer& c) {
+  c.hazard_profile = in.str();
   // The writer omits the section for an empty profile; a present-but-empty
   // one would not re-save byte-identically, so it is malformed.
-  if (s.hazard_profile.empty()) return false;
+  if (c.hazard_profile.empty()) return false;
   // 12 = u32 name length (empty name) + f64 value.
   const std::uint32_t metric_count = wire::bounded_count(in, 12);
   for (std::uint32_t i = 0; i < metric_count && !in.failed; ++i) {
     std::string name = in.str();
     const double value = in.f64();
-    s.hazard_metrics.emplace_back(std::move(name), value);
+    c.hazard_metrics.emplace_back(std::move(name), value);
   }
   return in.at_end();
 }
@@ -392,11 +146,7 @@ void canonicalize(RunSnapshot& snapshot) {
   std::sort(snapshot.hazard_metrics.begin(), snapshot.hazard_metrics.end());
 }
 
-void save_snapshot(std::ostream& out, const RunSnapshot& snapshot,
-                   std::uint16_t version) {
-  // Anything other than an explicitly supported legacy layout writes the
-  // current flat format.
-  if (version != 1 && version != 2) version = kSnapshotFormatVersion;
+void save_snapshot(std::ostream& out, const RunSnapshot& snapshot) {
   RunSnapshot canonical = snapshot;
   canonicalize(canonical);
 
@@ -404,30 +154,12 @@ void save_snapshot(std::ostream& out, const RunSnapshot& snapshot,
     SnapshotSection id;
     std::string payload;
   };
-  std::vector<Section> sections;
-  if (version >= 3) {
-    // v3: meta (padded to 20 bytes so the flat payload lands at file offset
-    // 12 + 2×24 + 20 = 80, a multiple of 8 — the mmap path casts the
-    // payload to its record structs in place) plus the flat fabric blob.
-    std::string meta = encode_meta(canonical);
-    meta.append(20 - meta.size(), '\0');
-    sections.push_back({SnapshotSection::kMeta, std::move(meta)});
-    sections.push_back({SnapshotSection::kFlatFabric,
-                        snapv3::encode_flat_fabric(canonical)});
-    if (!canonical.hazard_profile.empty())
-      sections.push_back({SnapshotSection::kHazard, encode_hazard(canonical)});
-  } else {
-    sections = {
-        {SnapshotSection::kMeta, encode_meta(canonical)},
-        {SnapshotSection::kSegments, encode_segments(canonical)},
-        {SnapshotSection::kPins, encode_pins(canonical)},
-        {SnapshotSection::kAliases, encode_aliases(canonical)},
-        {SnapshotSection::kMetrics, encode_metrics(canonical, version)},
-    };
-    if (version >= 2)
-      sections.push_back(
-          {SnapshotSection::kConfidence, encode_confidence(canonical)});
-  }
+  std::vector<Section> sections = {
+      {SnapshotSection::kMeta, encode_meta(canonical)},
+      {SnapshotSection::kFlatFabric, snapv3::encode_flat_fabric(canonical)},
+  };
+  if (!canonical.hazard_profile.empty())
+    sections.push_back({SnapshotSection::kHazard, encode_hazard(canonical)});
 
   // Assemble header, table, and payloads into one buffer so the stream sees
   // a single write (the bytes are identical to writing section by section).
@@ -436,7 +168,7 @@ void save_snapshot(std::ostream& out, const RunSnapshot& snapshot,
   std::string file;
   file.reserve(total);
   file.append(kMagic, sizeof(kMagic));
-  put_u16(file, version);
+  put_u16(file, kSnapshotFormatVersion);
   put_u32(file, static_cast<std::uint32_t>(sections.size()));
   std::uint64_t offset = kHeaderSize + sections.size() * kTableEntrySize;
   for (const Section& section : sections) {
@@ -454,50 +186,39 @@ void save_snapshot(std::ostream& out, const RunSnapshot& snapshot,
 }
 
 bool save_snapshot_file(const std::string& path, const RunSnapshot& snapshot,
-                        std::string* error, std::uint16_t version) {
+                        std::string* error) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return fail(error, "cannot open " + path + " for writing");
-  save_snapshot(out, snapshot, version);
+  save_snapshot(out, snapshot);
   out.flush();
   if (!out) return fail(error, "write to " + path + " failed");
   return true;
 }
 
-std::optional<RunSnapshot> load_snapshot(std::istream& in,
-                                         std::string* error) {
-  std::ostringstream buffer_stream;
-  buffer_stream << in.rdbuf();
-  const std::string buffer = buffer_stream.str();
-  const auto* data = reinterpret_cast<const unsigned char*>(buffer.data());
-
+std::optional<SnapshotContainer> parse_snapshot(const unsigned char* data,
+                                                std::size_t size,
+                                                std::string* error) {
   const auto reject = [&](const std::string& message)
-      -> std::optional<RunSnapshot> {
+      -> std::optional<SnapshotContainer> {
     fail(error, "snapshot: " + message);
     return std::nullopt;
   };
 
-  if (buffer.size() < kHeaderSize) return reject("file shorter than header");
-  if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0)
+  if (size < kHeaderSize) return reject("file shorter than header");
+  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
     return reject("bad magic (not a cloudmap snapshot)");
-  Cursor header{data, buffer.size(), sizeof(kMagic)};
+  Cursor header{data, size, sizeof(kMagic)};
   const std::uint16_t version = header.u16();
-  if (version < kSnapshotMinFormatVersion || version > kSnapshotFormatVersion)
+  if (version != kSnapshotFormatVersion)
     return reject("unsupported format version " + std::to_string(version) +
-                  " (expected " + std::to_string(kSnapshotMinFormatVersion) +
-                  ".." + std::to_string(kSnapshotFormatVersion) + ")");
+                  " (only version " + std::to_string(kSnapshotFormatVersion) +
+                  " is read)");
   const std::uint32_t section_count = header.u32();
   if (section_count > 1024) return reject("implausible section count");
   if (!header.need(std::size_t{section_count} * kTableEntrySize))
     return reject("truncated section table");
 
-  // Known (and required) section ids depend on the version: v3 carries meta
-  // plus the flat fabric blob; v1/v2 carry the sectioned layout (a v1 file
-  // has no confidence section; its id is treated as unknown there, exactly
-  // as v1 readers did). Anything else is skipped for forward compatibility.
-  const bool flat = version >= 3;
-  const std::uint32_t max_known_section = version >= 2 ? 6 : 5;
-  RunSnapshot snapshot;
-  std::vector<ConfidenceRecord> confidence;
+  SnapshotContainer out;
   bool seen[9] = {};
   // Every byte must be owned by the header, the table, or a payload: a file
   // with unaccounted trailing bytes would not re-save byte-identically.
@@ -506,87 +227,70 @@ std::optional<RunSnapshot> load_snapshot(std::istream& in,
   for (std::uint32_t i = 0; i < section_count; ++i) {
     const std::uint32_t id = header.u32();
     const std::uint64_t offset = header.u64();
-    const std::uint64_t size = header.u64();
+    const std::uint64_t payload_size = header.u64();
     const std::uint32_t crc = header.u32();
-    if (offset > buffer.size() || size > buffer.size() - offset)
-      return reject("section " + std::to_string(id) +
-                    " extends past end of file");
-    end_of_payloads = std::max(end_of_payloads, offset + size);
-    if (snapshot_crc32(data + offset, size) != crc)
-      return reject("section " + std::to_string(id) + " CRC mismatch");
-    if (flat ? (id != 1 && id != 7 && id != 8)
-             : (id < 1 || id > max_known_section))
-      continue;  // unknown section: skip (forward compat)
-    if (seen[id])
-      return reject("duplicate section " + std::to_string(id));
+    const std::string name = "section " + std::to_string(id);
+    if (offset > size || payload_size > size - offset)
+      return reject(name + " extends past end of file");
+    end_of_payloads = std::max(end_of_payloads, offset + payload_size);
+    if (snapshot_crc32(data + offset, payload_size) != crc)
+      return reject(name + " CRC mismatch");
+    if (id != 1 && id != 7 && id != 8) continue;  // unknown: forward compat
+    if (seen[id]) return reject("duplicate " + name);
     seen[id] = true;
-    Cursor body{data + offset, static_cast<std::size_t>(size), 0};
+    Cursor body{data + offset, static_cast<std::size_t>(payload_size), 0};
     bool ok = false;
     switch (static_cast<SnapshotSection>(id)) {
-      case SnapshotSection::kMeta:
-        ok = flat ? decode_meta_v3(body, snapshot)
-                  : decode_meta(body, snapshot);
-        break;
-      case SnapshotSection::kSegments:
-        ok = decode_segments(body, snapshot);
-        break;
-      case SnapshotSection::kPins: ok = decode_pins(body, snapshot); break;
-      case SnapshotSection::kAliases:
-        ok = decode_aliases(body, snapshot);
-        break;
-      case SnapshotSection::kMetrics:
-        ok = decode_metrics(body, snapshot, version);
-        break;
-      case SnapshotSection::kConfidence:
-        ok = decode_confidence(body, confidence);
-        break;
+      case SnapshotSection::kMeta: ok = decode_meta(body, out); break;
       case SnapshotSection::kFlatFabric: {
-        // The buffer's alignment is whatever the string allocator gave us;
-        // copy the blob to 8-aligned scratch before casting record structs
-        // over it (this IS the copying path — the zero-copy one is
-        // io/mapped_snapshot.h, where the mapping is page-aligned).
-        std::vector<std::uint64_t> aligned((size + 7) / 8);
-        if (size > 0) std::memcpy(aligned.data(), data + offset, size);
-        const auto* blob =
-            reinterpret_cast<const unsigned char*>(aligned.data());
+        if (offset % 8 != 0)
+          return reject("flat fabric section is not 8-byte aligned");
         std::string flat_error;
-        if (!snapv3::validate_flat_fabric(
-                blob, static_cast<std::size_t>(size), &flat_error))
+        if (!snapv3::validate_flat_fabric(data + offset, body.size,
+                                          &flat_error))
           return reject(flat_error);
-        snapv3::decode_flat_fabric(blob, snapshot);
+        out.blob = data + offset;
+        out.blob_size = body.size;
         ok = true;
         break;
       }
-      case SnapshotSection::kHazard:
-        ok = decode_hazard(body, snapshot);
-        break;
+      case SnapshotSection::kHazard: ok = decode_hazard(body, out); break;
     }
     if (!ok)
-      return reject("section " + std::to_string(id) +
-                    " is malformed (bad field or trailing bytes)");
+      return reject(name + " is malformed (bad field or trailing bytes)");
   }
-  const std::uint32_t first_required = 1;
-  const std::uint32_t last_required = flat ? 7 : max_known_section;
-  for (std::uint32_t id = first_required; id <= last_required; ++id) {
-    if (flat && id > 1 && id < 7) continue;  // v3 has no sections 2–6
-    if (!seen[id])
-      return reject("missing required section " + std::to_string(id));
-  }
-  if (end_of_payloads != buffer.size())
+  if (!seen[1]) return reject("missing required section 1");
+  if (!seen[7]) return reject("missing required section 7");
+  if (end_of_payloads != size)
     return reject("trailing bytes past the last section");
-  if (!flat && version >= 2) {
-    if (confidence.size() != snapshot.segments.size())
-      return reject("confidence section has " +
-                    std::to_string(confidence.size()) + " records for " +
-                    std::to_string(snapshot.segments.size()) + " segments");
-    for (std::size_t i = 0; i < confidence.size(); ++i) {
-      snapshot.segments[i].observations = confidence[i].observations;
-      snapshot.segments[i].rounds_mask = confidence[i].rounds_mask;
-      snapshot.segments[i].hop_density = confidence[i].hop_density;
-      snapshot.segments[i].confidence = confidence[i].confidence;
-    }
-  }
+  return out;
+}
+
+RunSnapshot decode_snapshot(const SnapshotContainer& container) {
+  RunSnapshot snapshot;
+  snapshot.seed = container.seed;
+  snapshot.threads = container.threads;
+  snapshot.subject = container.subject;
+  snapv3::decode_flat_fabric(container.blob, snapshot);
+  snapshot.hazard_profile = container.hazard_profile;
+  snapshot.hazard_metrics = container.hazard_metrics;
   return snapshot;
+}
+
+std::optional<RunSnapshot> load_snapshot(std::istream& in,
+                                         std::string* error) {
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string bytes = buffer.str();
+  // An 8-aligned copy, so the flat fabric validates in place exactly as it
+  // does inside a page-aligned mapping.
+  std::vector<std::uint64_t> aligned((bytes.size() + 7) / 8);
+  if (!bytes.empty()) std::memcpy(aligned.data(), bytes.data(), bytes.size());
+  const std::optional<SnapshotContainer> container = parse_snapshot(
+      reinterpret_cast<const unsigned char*>(aligned.data()), bytes.size(),
+      error);
+  if (!container) return std::nullopt;
+  return decode_snapshot(*container);
 }
 
 std::optional<RunSnapshot> load_snapshot_file(const std::string& path,

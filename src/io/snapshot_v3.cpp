@@ -20,7 +20,7 @@ constexpr std::uint64_t align8(std::uint64_t n) {
 //
 // The blob is assembled as typed arrays first, then serialized field by
 // field through wire::put_* so the bytes are little-endian on any host.
-// Every derived index replicates the FabricIndex constructor: canonical
+// The derived indexes follow the rules in io/snapshot_v3.h: canonical
 // (abi, cbi) segment order drives per-key lists (ascending, deduplicated),
 // keys are collected and sorted, and the LPM rows accumulate roles.
 

@@ -26,15 +26,25 @@
 //   u32[]                the shared index pool every span points into
 //   char[]               string table (tally names), byte offsets
 //
-// The index arrays are *derived* data: the encoder recomputes them from the
-// canonical segment order with exactly the semantics of the FabricIndex
-// constructor, so a v3 file re-saves byte-identically after a load and a
-// FabricView answers every query bit-identically to a FabricIndex built
-// from the same snapshot (both are enforced by tests).
+// The index arrays are *derived* data, recomputed by the encoder from the
+// canonical (abi, cbi) segment order, so a file re-saves byte-identically
+// after a load:
+//   by_peer        one entry per known peer ASN (0 excluded), keys
+//                  ascending, each listing its segment indices ascending;
+//                  peer_asns is the key list
+//   ixp, vpi       the indices of the segments with that flag, ascending
+//   by_metro       one entry per pinned metro, keys ascending, each listing
+//                  its pinned addresses ascending; pinned_metros is the
+//                  key list
+//   conf_order     every segment index, confidence descending, then index
+//                  ascending
+//   trie rows      a /32 row per distinct ABI or CBI address, its roles
+//                  OR-ed over every segment naming it, and a /24 row per
+//                  destination /24; each row lists the segments behind it,
+//                  ascending and deduplicated
 //
 // The layout is little-endian by definition; validate_flat_fabric() rejects
-// the zero-copy path on a big-endian host (the copying loader in
-// io/snapshot.cpp has the same guard, so behaviour is uniform).
+// it on a big-endian host, so both loaders refuse it there alike.
 #pragma once
 
 #include <cstddef>
@@ -127,8 +137,7 @@ struct V3Pair {  // regional fallback entry
 static_assert(sizeof(V3Pair) == 8);
 
 // One LPM row. `flags` packs is_interface|abi|cbi as bits 0|1|2; the
-// segment list is ascending and deduplicated, exactly as the FabricIndex
-// trie stores it.
+// segment list is ascending and deduplicated.
 struct V3TrieEntry {
   std::uint32_t network = 0;  // masked to the group's prefix length
   std::uint8_t flags = 0;
@@ -201,8 +210,8 @@ std::string encode_flat_fabric(const RunSnapshot& canonical);
 bool validate_flat_fabric(const unsigned char* blob, std::size_t size,
                           std::string* error);
 
-// Expand a validated blob back into a RunSnapshot (the copying load path
-// for v3 files). Collections come back in canonical order, so a re-save is
+// Expand a validated blob back into a RunSnapshot (the copying load
+// path). Collections come back in canonical order, so a re-save is
 // byte-identical. Does not touch meta fields (seed/threads/subject).
 void decode_flat_fabric(const unsigned char* blob, RunSnapshot& out);
 

@@ -1,28 +1,21 @@
-// FabricBackend: the narrow read interface the query engine dispatches
-// against, with two interchangeable implementations — FabricIndex
-// (query/fabric_index.h), which owns a decoded RunSnapshot and materialized
-// indexes, and FabricView (query/fabric_view.h), which serves the same
-// answers zero-copy out of an mmapped format-v3 blob. Both return segment
-// indices in the same canonical order, so every query answers
-// bit-identically regardless of backing (enforced by tests).
+// The value types the query engine reads out of a FabricView
+// (query/fabric_view.h), the zero-copy view over a format-v3 flat fabric
+// blob: spans into the blob, per-segment facts, lookup hits, and the
+// confidence histogram.
 //
-// Results are handed out as Span32 views into backend-owned storage: valid
-// for the lifetime of the backend, never null (empty spans have size 0).
-// All methods are const and thread-safe after construction.
+// Spans point into the view's backing storage: valid for the lifetime of
+// the view, never null (empty spans have size 0).
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
-#include "net/ipv4.h"
 #include "net/prefix.h"
 
 namespace cloudmap {
 
-// A read-only view over a contiguous run of u32 values owned by a backend.
+// A read-only view over a contiguous run of u32 values owned by the blob.
 struct Span32 {
   const std::uint32_t* values = nullptr;
   std::size_t count = 0;
@@ -34,9 +27,8 @@ struct Span32 {
   std::uint32_t operator[](std::size_t i) const { return values[i]; }
 };
 
-// The per-segment fields the engine aggregates and reports. A plain struct
-// (not a reference into backing storage) so the flat and decoded layouts
-// can both produce it without conversion cost on the caller's side.
+// The per-segment fields the engine aggregates and reports, copied out of
+// one fixed-width segment record.
 struct SegmentFacts {
   std::uint32_t abi = 0;       // host-order interface addresses
   std::uint32_t cbi = 0;
@@ -49,9 +41,9 @@ struct SegmentFacts {
   double confidence = 0.0;
 };
 
-// One longest-prefix match, backend-neutral: a /32 hit names an interface
-// (with its fabric roles), a shorter hit a destination cone reached through
-// the listed segments (ascending, deduplicated).
+// One longest-prefix match: a /32 hit names an interface (with its fabric
+// roles), a shorter hit a destination cone reached through the listed
+// segments (ascending, deduplicated).
 struct BackendHit {
   Prefix prefix;
   bool is_interface = false;
@@ -62,7 +54,7 @@ struct BackendHit {
 
 // Distribution of per-segment confidence scores: ten equal-width bins over
 // [0, 1] (scores of exactly 1.0 land in the last bin) plus summary moments.
-// Precomputed when the backend is built.
+// Precomputed when the view is built.
 struct ConfidenceHistogram {
   std::array<std::size_t, 10> bins{};
   std::size_t segments = 0;
@@ -71,36 +63,10 @@ struct ConfidenceHistogram {
   double max = 0.0;
 };
 
-class FabricBackend {
- public:
-  virtual ~FabricBackend() = default;
-
-  virtual std::size_t segment_count() const = 0;
-  // `index` must be < segment_count().
-  virtual SegmentFacts segment(std::uint32_t index) const = 0;
-
-  // Segment indices whose peer AS is `peer_asn`, ascending; empty = none.
-  virtual Span32 peer_segments(std::uint32_t peer_asn) const = 0;
-  // Peer ASNs present in the fabric, ascending (unknown/0 excluded).
-  virtual Span32 asn_list() const = 0;
-  // Segments in the §7.1 multi-cloud overlap, ascending.
-  virtual Span32 vpi_list() const = 0;
-  // Interface addresses pinned to `metro`, ascending; empty = none.
-  virtual Span32 metro_interfaces(std::uint32_t metro) const = 0;
-  // Metros with at least one pinned interface, ascending.
-  virtual Span32 metro_list() const = 0;
-
-  // Longest-prefix lookup of an arbitrary address against the fabric.
-  virtual std::optional<BackendHit> find(Ipv4 address) const = 0;
-
-  // Segment indices with confidence >= min_confidence, ascending.
-  virtual std::vector<std::uint32_t> min_confidence_list(
-      double min_confidence) const = 0;
-  virtual const ConfidenceHistogram& histogram() const = 0;
-
-  // Aggregate totals the counts query folds in.
-  virtual std::size_t pin_total() const = 0;
-  virtual std::size_t regional_total() const = 0;
-};
+// FabricView is the one query backend. Its former interface name stays as
+// an alias only because perfbench/ (the repo benchmark, which changes only
+// together with its baselines) still spells it; new code names FabricView.
+class FabricView;
+using FabricBackend = FabricView;
 
 }  // namespace cloudmap

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_set>
-#include <utility>
 
 namespace cloudmap {
 
@@ -16,8 +15,8 @@ constexpr std::array<const char*, kQueryKindCount> kCounterNames = {
     "query.min_confidence", "query.confidence_histogram",
 };
 
-SegmentBrief brief_of(const FabricBackend& backend, std::uint32_t index) {
-  const SegmentFacts facts = backend.segment(index);
+SegmentBrief brief_of(const FabricView& view, std::uint32_t index) {
+  const SegmentFacts facts = view.segment(index);
   SegmentBrief brief;
   brief.index = index;
   brief.abi = facts.abi;
@@ -32,14 +31,8 @@ SegmentBrief brief_of(const FabricBackend& backend, std::uint32_t index) {
 
 }  // namespace
 
-QueryEngine::QueryEngine(const FabricIndex& index, MetricsRegistry* metrics)
-    : QueryEngine(static_cast<const FabricBackend&>(index), metrics) {
-  index_ = &index;
-}
-
-QueryEngine::QueryEngine(const FabricBackend& backend,
-                         MetricsRegistry* metrics)
-    : backend_(&backend) {
+QueryEngine::QueryEngine(const FabricView& view, MetricsRegistry* metrics)
+    : view_(view) {
   if (metrics != nullptr && metrics->enabled()) {
     for (std::size_t k = 0; k < kCounterNames.size(); ++k)
       counters_[k] = &metrics->counter(kCounterNames[k]);
@@ -72,9 +65,9 @@ QueryResponse QueryEngine::execute(const QueryRequest& request) const {
           group_ases;
       double confidence_sum = 0.0;
       const auto total =
-          static_cast<std::uint32_t>(backend_->segment_count());
+          static_cast<std::uint32_t>(view_.segment_count());
       for (std::uint32_t i = 0; i < total; ++i) {
-        const SegmentFacts seg = backend_->segment(i);
+        const SegmentFacts seg = view_.segment(i);
         ++counts.segments;
         confidence_sum += seg.confidence;
         if (seg.confidence >= 0.5) ++counts.confident_segments;
@@ -93,13 +86,13 @@ QueryResponse QueryEngine::execute(const QueryRequest& request) const {
       }
       counts.unique_abis = abis.size();
       counts.unique_cbis = cbis.size();
-      counts.peer_ases = backend_->asn_list().size();
+      counts.peer_ases = view_.asn_list().size();
       counts.peer_orgs = orgs.size();
       counts.vpi_cbis = vpi_cbis.size();
       for (std::size_t g = 0; g < kPeeringGroupCount; ++g)
         counts.group_ases[g] = group_ases[g].size();
-      counts.pinned_interfaces = backend_->pin_total();
-      counts.regional_only = backend_->regional_total();
+      counts.pinned_interfaces = view_.pin_total();
+      counts.regional_only = view_.regional_total();
       if (counts.segments > 0)
         counts.mean_confidence =
             confidence_sum / static_cast<double>(counts.segments);
@@ -107,29 +100,29 @@ QueryResponse QueryEngine::execute(const QueryRequest& request) const {
       return out;
     }
     case QueryKind::kPeersOf: {
-      const Span32 hits = backend_->peer_segments(request.asn);
+      const Span32 hits = view_.peer_segments(request.asn);
       out.items.assign(hits.begin(), hits.end());
       segment_items = true;
       break;
     }
     case QueryKind::kPeerList: {
-      const Span32 asns = backend_->asn_list();
+      const Span32 asns = view_.asn_list();
       out.items.assign(asns.begin(), asns.end());
       return out;
     }
     case QueryKind::kInterfacesIn: {
-      const Span32 hits = backend_->metro_interfaces(request.metro);
+      const Span32 hits = view_.metro_interfaces(request.metro);
       out.items.assign(hits.begin(), hits.end());
       return out;  // items are addresses, not segment indices: no briefs
     }
     case QueryKind::kVpiCandidates: {
-      const Span32 hits = backend_->vpi_list();
+      const Span32 hits = view_.vpi_list();
       out.items.assign(hits.begin(), hits.end());
       segment_items = true;
       break;
     }
     case QueryKind::kLookup: {
-      const auto hit = backend_->find(Ipv4(request.address));
+      const auto hit = view_.find(Ipv4(request.address));
       if (hit) {
         out.found = true;
         out.prefix_network = hit->prefix.network().value();
@@ -140,18 +133,18 @@ QueryResponse QueryEngine::execute(const QueryRequest& request) const {
         out.items.assign(hit->segments.begin(), hit->segments.end());
         if (request.want_briefs)
           for (const std::uint32_t i : out.items)
-            out.briefs.push_back(brief_of(*backend_, i));
+            out.briefs.push_back(brief_of(view_, i));
       }
       return out;
     }
     case QueryKind::kMinConfidence: {
-      out.items = backend_->min_confidence_list(
+      out.items = view_.min_confidence_list(
           std::max(request.min_confidence, 0.0));
       segment_items = true;
       break;
     }
     case QueryKind::kConfidenceHistogram: {
-      out.histogram = backend_->histogram();
+      out.histogram = view_.histogram();
       return out;
     }
   }
@@ -161,62 +154,14 @@ QueryResponse QueryEngine::execute(const QueryRequest& request) const {
     if (request.min_confidence >= 0.0 &&
         request.kind != QueryKind::kMinConfidence) {
       std::erase_if(out.items, [&](std::uint32_t i) {
-        return backend_->segment(i).confidence < request.min_confidence;
+        return view_.segment(i).confidence < request.min_confidence;
       });
     }
     if (request.want_briefs)
       for (const std::uint32_t i : out.items)
-        out.briefs.push_back(brief_of(*backend_, i));
+        out.briefs.push_back(brief_of(view_, i));
   }
   return out;
-}
-
-std::vector<std::uint32_t> QueryEngine::peers_of(Asn peer) const {
-  QueryRequest request;
-  request.kind = QueryKind::kPeersOf;
-  request.asn = peer.value;
-  return std::move(execute(request).items);
-}
-
-std::vector<std::uint32_t> QueryEngine::interfaces_in(
-    std::uint32_t metro) const {
-  QueryRequest request;
-  request.kind = QueryKind::kInterfacesIn;
-  request.metro = metro;
-  return std::move(execute(request).items);
-}
-
-std::vector<std::uint32_t> QueryEngine::vpi_candidates() const {
-  QueryRequest request;
-  request.kind = QueryKind::kVpiCandidates;
-  return std::move(execute(request).items);
-}
-
-std::vector<std::uint32_t> QueryEngine::segments_min_confidence(
-    double min_confidence) const {
-  QueryRequest request;
-  request.kind = QueryKind::kMinConfidence;
-  request.min_confidence = min_confidence;
-  return std::move(execute(request).items);
-}
-
-FabricCounts QueryEngine::counts() const {
-  QueryRequest request;
-  request.kind = QueryKind::kCounts;
-  return *execute(request).counts;
-}
-
-const ConfidenceHistogram& QueryEngine::confidence_histogram() const {
-  if (MetricsRegistry::Counter* c = counter(QueryKind::kConfidenceHistogram);
-      c != nullptr)
-    c->add();
-  return backend_->histogram();
-}
-
-std::optional<LookupHit> QueryEngine::lookup(Ipv4 address) const {
-  if (MetricsRegistry::Counter* c = counter(QueryKind::kLookup); c != nullptr)
-    c->add();
-  return index_->lookup(address);
 }
 
 }  // namespace cloudmap

@@ -18,8 +18,6 @@ constexpr std::uint8_t kTrieCbi = 0x04;
 
 FabricView::FabricView(const unsigned char* blob)
     : v_(snapv3::V3View::over(blob)) {
-  // Same binning as the FabricIndex constructor, so the two backends report
-  // identical distributions.
   const std::uint32_t total = v_.dir->segment_count;
   histogram_.segments = total;
   if (total > 0) {

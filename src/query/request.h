@@ -3,8 +3,7 @@
 // QueryRequest tagged by QueryKind, dispatched through
 // QueryEngine::execute() (query/engine.h), and answered with one
 // QueryResponse. Centralizing dispatch keeps metrics counters,
-// min-confidence filtering, and error reporting in a single place instead
-// of five ad-hoc entry points.
+// min-confidence filtering, and error reporting in a single place.
 //
 // Both structs are flat POD-ish values with fixed-width fields, so the
 // serve protocol (serve/protocol.h) encodes them field-for-field without a
@@ -56,7 +55,7 @@ enum class QueryStatus : std::uint8_t {
 };
 
 // The per-segment summary returned when want_briefs is set: enough to print
-// a result row without another round trip to the backend.
+// a result row without another round trip to the engine.
 struct SegmentBrief {
   std::uint32_t index = 0;
   std::uint32_t abi = 0;
@@ -85,8 +84,7 @@ struct FabricCounts {
   std::size_t unattributed_segments = 0;
   std::size_t pinned_interfaces = 0;   // metro-level pins
   std::size_t regional_only = 0;       // regional fallback entries
-  // Confidence aggregates (v2+ snapshots; zero for v1, where every segment
-  // scores 0).
+  // Confidence aggregates.
   double mean_confidence = 0.0;
   std::size_t confident_segments = 0;  // confidence >= 0.5
 };

@@ -3,8 +3,8 @@
 // heuristic, IXP/VPI classification, peering group), the §6 metro/regional
 // pins, the §5.2 alias sets, and the run's per-stage metrics. This is the
 // *map* the paper produces, captured as one value so it can be persisted
-// (io/snapshot.h), indexed (query/fabric_index.h), and compared across runs
-// (query/diff.h) without re-running the campaign.
+// (io/snapshot.h), served (query/fabric_view.h over the saved file), and
+// compared across runs (query/diff.h) without re-running the campaign.
 //
 // Everything here is plain data. Collections are kept in the canonical order
 // save_snapshot() writes (segments by (ABI, CBI), pins and regional entries
@@ -41,8 +41,8 @@ struct SnapshotSegment {
   Asn peer_asn;   // resolved peer AS (owner hint fallback applied); 0=unknown
   OrgId peer_org;  // organization of peer_asn; 0=unknown
   std::uint8_t group = kSnapshotNoGroup;  // PeeringGroup, Table 5 axis
-  // Per-segment confidence (infer/confidence.h), persisted as the v2
-  // confidence section of io/snapshot. All zero when loaded from a v1 file.
+  // Per-segment confidence (infer/confidence.h), persisted in the flat
+  // fabric's segment records (io/snapshot_v3.h).
   std::uint32_t observations = 0;  // candidate observations merged
   std::uint32_t rounds_mask = 0;   // bit r-1 set when round r contributed
   double hop_density = 0.0;        // mean responding-hop density, [0, 1]

@@ -18,8 +18,7 @@ std::shared_ptr<const ServedSnapshot> load_served_snapshot(
   auto served = std::make_shared<ServedSnapshot>();
   served->mapping = std::move(*mapped);
   served->view = std::make_unique<FabricView>(served->mapping.blob());
-  served->engine = std::make_unique<QueryEngine>(
-      static_cast<const FabricBackend&>(*served->view), metrics);
+  served->engine = std::make_unique<QueryEngine>(*served->view, metrics);
   return served;
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.h"
 #include "infer/campaign.h"
 #include "io/shard.h"
 #include "io/snapshot.h"
@@ -239,9 +240,10 @@ TEST(ForgedHeader, SnapshotSectionCountFailsFast) {
   EXPECT_FALSE(error.empty());
 }
 
-// A segments section declaring 0xFFFFFFFF records — with its section CRC
-// re-stamped so the forgery reaches the record decoder — must be refused by
-// the count-vs-remaining-bytes cap before any reserve.
+// A flat fabric whose directory declares 0xFFFFFFFF segments — with the
+// section CRC re-stamped so the forgery reaches the blob validator — must be
+// refused by both loaders by arithmetic against the blob size, before any
+// record is read.
 TEST(ForgedHeader, SnapshotSegmentCountFailsFast) {
   RunSnapshot snap;
   SnapshotSegment seg;
@@ -250,38 +252,20 @@ TEST(ForgedHeader, SnapshotSegmentCountFailsFast) {
   seg.observations = 1;
   snap.segments = {seg};
   std::ostringstream out;
-  save_snapshot(out, snap, 2);
+  save_snapshot(out, snap);
   std::string bytes = out.str();
 
-  // Find the segments section (id 2) in the table.
-  std::uint32_t section_count = 0;
-  for (std::size_t i = 0; i < 4; ++i)
-    section_count |= std::uint32_t{
-        static_cast<unsigned char>(bytes[8 + i])} << (8 * i);
-  std::size_t entry = 0;
-  for (std::uint32_t s = 0; s < section_count; ++s)
-    if (static_cast<unsigned char>(bytes[12 + s * 24]) == 2) {
-      entry = 12 + s * 24;
-      break;
-    }
-  ASSERT_NE(entry, 0u);
-  std::uint64_t offset = 0;
-  std::uint64_t size = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    offset |= std::uint64_t{
-        static_cast<unsigned char>(bytes[entry + 4 + i])} << (8 * i);
-    size |= std::uint64_t{
-        static_cast<unsigned char>(bytes[entry + 12 + i])} << (8 * i);
-  }
-  patch_u32(bytes, static_cast<std::size_t>(offset), 0xFFFFFFFFu);
-  patch_u32(bytes, entry + 20,
-            crc_of(bytes, static_cast<std::size_t>(offset),
-                   static_cast<std::size_t>(size)));
+  // Section 7 is table entry 1, its blob at file offset 80; the directory's
+  // segment_count sits at blob offset 12.
+  patch_u32(bytes, 80 + 12, 0xFFFFFFFFu);
+  testfx::restamp_crc(bytes, 1);
 
-  std::istringstream in(bytes);
-  std::string error;
-  EXPECT_FALSE(load_snapshot(in, &error).has_value());
-  EXPECT_FALSE(error.empty());
+  const testfx::LoaderVerdicts v = testfx::both_loaders(bytes);
+  EXPECT_FALSE(v.loaded);
+  EXPECT_FALSE(v.mapped);
+  EXPECT_NE(v.load_error.find("segment array"), std::string::npos)
+      << v.load_error;
+  EXPECT_EQ(v.map_error, v.load_error);
 }
 
 // A part header declaring 2^28 records in a ~600-byte file — header CRC

@@ -1,12 +1,12 @@
-// QueryEngine correctness (src/query/): every typed query cross-checked
-// against a brute-force scan of the raw snapshot, and the zero-locking
-// claim exercised with concurrent readers (this file matches the CI TSan
-// filter, so data races here fail the sanitize job).
+// QueryEngine correctness (src/query/): every query kind, run through
+// execute() over a FabricView of the small pipeline's snapshot, cross-checked
+// against a brute-force scan of the RunSnapshot it was saved from, and the
+// zero-locking claim exercised with concurrent readers (this file matches
+// the CI TSan filter, so data races here fail the sanitize job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_set>
@@ -15,99 +15,124 @@
 #include "fixtures.h"
 #include "query/diff.h"
 #include "query/engine.h"
-#include "query/fabric_index.h"
 
 namespace cloudmap {
 namespace {
 
-const FabricIndex& shared_index() {
-  static const FabricIndex* index =
-      new FabricIndex(testfx::small_pipeline().run_snapshot());
-  return *index;
+// The brute-force reference: the canonical snapshot the view was saved from,
+// so segment indices agree between the two.
+const RunSnapshot& reference() {
+  return testfx::small_pipeline().run_snapshot();
+}
+
+QueryRequest request_of(QueryKind kind) {
+  QueryRequest request;
+  request.kind = kind;
+  return request;
 }
 
 TEST(QueryEngine, PeersOfMatchesBruteForce) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
-  ASSERT_FALSE(index.peer_asns().empty());
-  for (std::uint32_t asn : index.peer_asns()) {
+  const RunSnapshot& snap = reference();
+  const QueryEngine engine(testfx::small_view());
+  std::set<std::uint32_t> asns;
+  for (const SnapshotSegment& seg : snap.segments)
+    if (!seg.peer_asn.is_unknown()) asns.insert(seg.peer_asn.value);
+  ASSERT_FALSE(asns.empty());
+  EXPECT_EQ(engine.execute(request_of(QueryKind::kPeerList)).items,
+            std::vector<std::uint32_t>(asns.begin(), asns.end()));
+  QueryRequest request = request_of(QueryKind::kPeersOf);
+  for (const std::uint32_t asn : asns) {
     std::vector<std::uint32_t> expected;
-    for (std::uint32_t i = 0; i < index.segments().size(); ++i)
-      if (index.segments()[i].peer_asn == Asn{asn}) expected.push_back(i);
-    EXPECT_EQ(engine.peers_of(Asn{asn}), expected) << "AS" << asn;
-    EXPECT_FALSE(expected.empty()) << "peer_asns() listed an absent AS";
+    for (std::uint32_t i = 0; i < snap.segments.size(); ++i)
+      if (snap.segments[i].peer_asn == Asn{asn}) expected.push_back(i);
+    request.asn = asn;
+    EXPECT_EQ(engine.execute(request).items, expected) << "AS" << asn;
   }
-  EXPECT_TRUE(engine.peers_of(Asn{4294967295u}).empty());
+  request.asn = 4294967295u;
+  EXPECT_TRUE(engine.execute(request).items.empty());
 }
 
 TEST(QueryEngine, InterfacesInMatchesBruteForce) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
-  ASSERT_FALSE(index.pinned_metros().empty());
-  for (std::uint32_t metro : index.pinned_metros()) {
+  const RunSnapshot& snap = reference();
+  const FabricView& view = testfx::small_view();
+  const QueryEngine engine(view);
+  std::set<std::uint32_t> metros;
+  for (const SnapshotPin& pin : snap.pins) metros.insert(pin.metro);
+  ASSERT_FALSE(metros.empty());
+  EXPECT_EQ(std::vector<std::uint32_t>(view.metro_list().begin(),
+                                       view.metro_list().end()),
+            std::vector<std::uint32_t>(metros.begin(), metros.end()));
+  QueryRequest request = request_of(QueryKind::kInterfacesIn);
+  for (const std::uint32_t metro : metros) {
     std::vector<std::uint32_t> expected;
-    for (const SnapshotPin& pin : index.snapshot().pins)
+    for (const SnapshotPin& pin : snap.pins)
       if (pin.metro == metro) expected.push_back(pin.address);
-    EXPECT_EQ(engine.interfaces_in(metro), expected) << "metro " << metro;
+    request.metro = metro;
+    EXPECT_EQ(engine.execute(request).items, expected) << "metro " << metro;
   }
-  EXPECT_TRUE(engine.interfaces_in(kInvalidIndex).empty());
+  request.metro = kInvalidIndex;
+  EXPECT_TRUE(engine.execute(request).items.empty());
 }
 
 TEST(QueryEngine, VpiCandidatesMatchBruteForce) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
+  const RunSnapshot& snap = reference();
+  const QueryEngine engine(testfx::small_view());
   std::vector<std::uint32_t> expected;
-  for (std::uint32_t i = 0; i < index.segments().size(); ++i)
-    if (index.segments()[i].vpi) expected.push_back(i);
-  EXPECT_EQ(engine.vpi_candidates(), expected);
+  for (std::uint32_t i = 0; i < snap.segments.size(); ++i)
+    if (snap.segments[i].vpi) expected.push_back(i);
+  EXPECT_EQ(engine.execute(request_of(QueryKind::kVpiCandidates)).items,
+            expected);
 }
 
 TEST(QueryEngine, LookupFindsEveryInterfaceExactly) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
-  for (std::uint32_t i = 0; i < index.segments().size(); ++i) {
-    const SnapshotSegment& seg = index.segments()[i];
+  const RunSnapshot& snap = reference();
+  const QueryEngine engine(testfx::small_view());
+  QueryRequest request = request_of(QueryKind::kLookup);
+  for (std::uint32_t i = 0; i < snap.segments.size(); ++i) {
+    const SnapshotSegment& seg = snap.segments[i];
     for (const Ipv4 address : {seg.abi, seg.cbi}) {
-      const auto hit = engine.lookup(address);
-      ASSERT_TRUE(hit.has_value()) << address.to_string();
-      EXPECT_TRUE(hit->is_interface);
-      EXPECT_EQ(hit->prefix.length(), 32);
-      EXPECT_EQ(hit->prefix.network(), address);
-      ASSERT_NE(hit->segments, nullptr);
-      EXPECT_TRUE(std::find(hit->segments->begin(), hit->segments->end(),
-                            i) != hit->segments->end());
-      EXPECT_TRUE(address == seg.abi ? hit->abi : hit->cbi);
+      request.address = address.value();
+      const QueryResponse hit = engine.execute(request);
+      ASSERT_TRUE(hit.found) << address.to_string();
+      EXPECT_TRUE(hit.is_interface);
+      EXPECT_EQ(hit.prefix_length, 32);
+      EXPECT_EQ(hit.prefix_network, address.value());
+      EXPECT_TRUE(std::find(hit.items.begin(), hit.items.end(), i) !=
+                  hit.items.end());
+      EXPECT_TRUE(address == seg.abi ? hit.role_abi : hit.role_cbi);
     }
   }
 }
 
 TEST(QueryEngine, LookupCoversDestinationCones) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
+  const RunSnapshot& snap = reference();
+  const QueryEngine engine(testfx::small_view());
+  QueryRequest request = request_of(QueryKind::kLookup);
   bool checked = false;
-  for (std::uint32_t i = 0; i < index.segments().size(); ++i) {
-    for (std::uint32_t network : index.segments()[i].dest_slash24s) {
+  for (std::uint32_t i = 0; i < snap.segments.size(); ++i) {
+    for (std::uint32_t network : snap.segments[i].dest_slash24s) {
       // Probe a host inside the /24 that is not itself an interface.
       const Ipv4 probe(network | 0xFDu);
-      const auto hit = engine.lookup(probe);
-      ASSERT_TRUE(hit.has_value()) << probe.to_string();
-      if (hit->is_interface) continue;  // a /32 interface shadowed the cone
-      EXPECT_EQ(hit->prefix.length(), 24);
-      ASSERT_NE(hit->segments, nullptr);
-      EXPECT_TRUE(std::find(hit->segments->begin(), hit->segments->end(),
-                            i) != hit->segments->end());
+      request.address = probe.value();
+      const QueryResponse hit = engine.execute(request);
+      ASSERT_TRUE(hit.found) << probe.to_string();
+      if (hit.is_interface) continue;  // a /32 interface shadowed the cone
+      EXPECT_EQ(hit.prefix_length, 24);
+      EXPECT_TRUE(std::find(hit.items.begin(), hit.items.end(), i) !=
+                  hit.items.end());
       checked = true;
     }
   }
   EXPECT_TRUE(checked);
-  EXPECT_FALSE(engine.lookup(Ipv4(255, 255, 255, 254)).has_value());
+  request.address = Ipv4(255, 255, 255, 254).value();
+  EXPECT_FALSE(engine.execute(request).found);
 }
 
 TEST(QueryEngine, CountsMatchBruteForce) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
-  const FabricCounts counts = engine.counts();
-  const RunSnapshot& snap = index.snapshot();
+  const RunSnapshot& snap = reference();
+  const QueryEngine engine(testfx::small_view());
+  const FabricCounts counts =
+      *engine.execute(request_of(QueryKind::kCounts)).counts;
 
   std::unordered_set<std::uint32_t> abis, cbis, ases, orgs, vpi_cbis;
   std::size_t ixp = 0, unattributed = 0;
@@ -150,41 +175,44 @@ TEST(QueryEngine, CountsMatchBruteForce) {
 }
 
 TEST(QueryEngine, MinConfidenceMatchesBruteForce) {
-  const FabricIndex& index = shared_index();
+  const RunSnapshot& snap = reference();
   MetricsRegistry registry(true);
-  const QueryEngine engine(index, &registry);
+  const QueryEngine engine(testfx::small_view(), &registry);
+  const auto at_least = [&](double threshold) {
+    QueryRequest request = request_of(QueryKind::kMinConfidence);
+    request.min_confidence = threshold;
+    return engine.execute(request).items;
+  };
   for (const double threshold : {0.0, 0.25, 0.5, 0.75, 0.9, 1.0}) {
     std::vector<std::uint32_t> expected;
-    for (std::uint32_t i = 0; i < index.segments().size(); ++i)
-      if (index.segments()[i].confidence >= threshold) expected.push_back(i);
-    EXPECT_EQ(engine.segments_min_confidence(threshold), expected)
-        << "threshold " << threshold;
+    for (std::uint32_t i = 0; i < snap.segments.size(); ++i)
+      if (snap.segments[i].confidence >= threshold) expected.push_back(i);
+    EXPECT_EQ(at_least(threshold), expected) << "threshold " << threshold;
   }
   // Thresholds only shrink the answer; <= 0 returns the whole fabric.
-  EXPECT_EQ(engine.segments_min_confidence(0.0).size(),
-            index.segments().size());
-  EXPECT_GE(engine.segments_min_confidence(0.3).size(),
-            engine.segments_min_confidence(0.6).size());
+  EXPECT_EQ(at_least(0.0).size(), snap.segments.size());
+  EXPECT_GE(at_least(0.3).size(), at_least(0.6).size());
   // Every call above bumped the counter: 6 thresholds + 3 shape checks.
   EXPECT_EQ(registry.counter_value("query.min_confidence"), 9u);
 }
 
 TEST(QueryEngine, ConfidenceHistogramCoversEverySegment) {
-  const FabricIndex& index = shared_index();
+  const RunSnapshot& snap = reference();
   MetricsRegistry registry(true);
-  const QueryEngine engine(index, &registry);
-  const ConfidenceHistogram& hist = engine.confidence_histogram();
-  EXPECT_EQ(hist.segments, index.segments().size());
+  const QueryEngine engine(testfx::small_view(), &registry);
+  const ConfidenceHistogram hist =
+      *engine.execute(request_of(QueryKind::kConfidenceHistogram)).histogram;
+  EXPECT_EQ(hist.segments, snap.segments.size());
   std::size_t binned = 0;
   for (const std::size_t bin : hist.bins) binned += bin;
-  EXPECT_EQ(binned, index.segments().size());
+  EXPECT_EQ(binned, snap.segments.size());
   double sum = 0.0, lo = 1.0, hi = 0.0;
-  for (const SnapshotSegment& seg : index.segments()) {
+  for (const SnapshotSegment& seg : snap.segments) {
     sum += seg.confidence;
     lo = std::min(lo, seg.confidence);
     hi = std::max(hi, seg.confidence);
   }
-  ASSERT_FALSE(index.segments().empty());
+  ASSERT_FALSE(snap.segments.empty());
   EXPECT_DOUBLE_EQ(hist.mean, sum / static_cast<double>(hist.segments));
   EXPECT_DOUBLE_EQ(hist.min, lo);
   EXPECT_DOUBLE_EQ(hist.max, hi);
@@ -193,11 +221,12 @@ TEST(QueryEngine, ConfidenceHistogramCoversEverySegment) {
   EXPECT_LE(hist.max, 1.0);
   EXPECT_EQ(registry.counter_value("query.confidence_histogram"), 1u);
 
-  // counts() aggregates agree with the histogram's moments.
-  const FabricCounts counts = engine.counts();
+  // The counts aggregates agree with the histogram's moments.
+  const FabricCounts counts =
+      *engine.execute(request_of(QueryKind::kCounts)).counts;
   EXPECT_DOUBLE_EQ(counts.mean_confidence, hist.mean);
   std::size_t confident = 0;
-  for (const SnapshotSegment& seg : index.segments())
+  for (const SnapshotSegment& seg : snap.segments)
     if (seg.confidence >= 0.5) ++confident;
   EXPECT_EQ(counts.confident_segments, confident);
 }
@@ -206,23 +235,31 @@ TEST(QueryEngine, ConfidenceHistogramCoversEverySegment) {
 // Bit-identical answers at any thread count means identical digests.
 std::uint64_t query_digest(const QueryEngine& engine, std::size_t slice,
                            std::size_t slices) {
-  const FabricIndex& index = engine.index();
+  const FabricView& view = testfx::small_view();
   std::uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
   const auto mix = [&digest](std::uint64_t value) {
     digest = (digest ^ value) * 1099511628211ull;
   };
-  for (std::size_t a = slice; a < index.peer_asns().size(); a += slices)
-    for (std::uint32_t seg : engine.peers_of(Asn{index.peer_asns()[a]}))
-      mix(seg);
-  for (std::size_t m = slice; m < index.pinned_metros().size(); m += slices)
-    for (std::uint32_t addr : engine.interfaces_in(index.pinned_metros()[m]))
-      mix(addr);
-  for (std::uint32_t seg : engine.vpi_candidates()) mix(seg);
-  for (std::size_t i = slice; i < index.segments().size(); i += slices) {
-    const auto hit = engine.lookup(index.segments()[i].cbi);
-    mix(hit ? hit->segments->size() : 0);
+  QueryRequest request = request_of(QueryKind::kPeersOf);
+  for (std::size_t a = slice; a < view.asn_list().size(); a += slices) {
+    request.asn = view.asn_list()[a];
+    for (std::uint32_t seg : engine.execute(request).items) mix(seg);
   }
-  const FabricCounts counts = engine.counts();
+  request = request_of(QueryKind::kInterfacesIn);
+  for (std::size_t m = slice; m < view.metro_list().size(); m += slices) {
+    request.metro = view.metro_list()[m];
+    for (std::uint32_t addr : engine.execute(request).items) mix(addr);
+  }
+  for (std::uint32_t seg :
+       engine.execute(request_of(QueryKind::kVpiCandidates)).items)
+    mix(seg);
+  request = request_of(QueryKind::kLookup);
+  for (std::size_t i = slice; i < view.segment_count(); i += slices) {
+    request.address = view.segment(static_cast<std::uint32_t>(i)).cbi;
+    mix(engine.execute(request).items.size());
+  }
+  const FabricCounts counts =
+      *engine.execute(request_of(QueryKind::kCounts)).counts;
   mix(counts.segments);
   mix(counts.peer_ases);
   mix(counts.vpi_cbis);
@@ -230,9 +267,8 @@ std::uint64_t query_digest(const QueryEngine& engine, std::size_t slice,
 }
 
 TEST(QueryEngine, ConcurrentReadersMatchSingleThread) {
-  const FabricIndex& index = shared_index();
   MetricsRegistry registry(true);
-  const QueryEngine engine(index, &registry);
+  const QueryEngine engine(testfx::small_view(), &registry);
   constexpr std::size_t kSlices = 4;
 
   // Reference: every slice computed on one thread.

@@ -1,8 +1,7 @@
 // The unified request/response query API (query/request.h): execute()
-// answers every QueryKind identically to the deprecated per-query shims,
-// bumps exactly one metrics counter per call (the same counters the shims
-// bump), honors min-confidence filtering and brief expansion, and turns
-// malformed requests into kBadRequest instead of throwing.
+// bumps exactly one metrics counter per call, honors min-confidence
+// filtering and brief expansion, and turns malformed requests into
+// kBadRequest instead of throwing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,17 +11,10 @@
 #include "fixtures.h"
 #include "obs/metrics.h"
 #include "query/engine.h"
-#include "query/fabric_index.h"
 #include "query/request.h"
 
 namespace cloudmap {
 namespace {
-
-const FabricIndex& shared_index() {
-  static const FabricIndex* index =
-      new FabricIndex(testfx::small_pipeline().run_snapshot());
-  return *index;
-}
 
 std::uint64_t counter_value(const MetricsRegistry& registry,
                             const std::string& name) {
@@ -31,82 +23,9 @@ std::uint64_t counter_value(const MetricsRegistry& registry,
   return 0;
 }
 
-TEST(QueryApi, ExecuteMatchesEveryDeprecatedShim) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
-
-  QueryRequest request;
-  request.kind = QueryKind::kPeersOf;
-  ASSERT_FALSE(index.peer_asns().empty());
-  request.asn = index.peer_asns().front();
-  EXPECT_EQ(engine.execute(request).items,
-            engine.peers_of(Asn{request.asn}));
-
-  request = {};
-  request.kind = QueryKind::kInterfacesIn;
-  ASSERT_FALSE(index.pinned_metros().empty());
-  request.metro = index.pinned_metros().front();
-  EXPECT_EQ(engine.execute(request).items,
-            engine.interfaces_in(request.metro));
-
-  request = {};
-  request.kind = QueryKind::kVpiCandidates;
-  EXPECT_EQ(engine.execute(request).items, engine.vpi_candidates());
-
-  request = {};
-  request.kind = QueryKind::kMinConfidence;
-  request.min_confidence = 0.5;
-  EXPECT_EQ(engine.execute(request).items,
-            engine.segments_min_confidence(0.5));
-
-  request = {};
-  request.kind = QueryKind::kCounts;
-  const QueryResponse counts_response = engine.execute(request);
-  ASSERT_TRUE(counts_response.counts.has_value());
-  const FabricCounts& via_shim = engine.counts();
-  EXPECT_EQ(counts_response.counts->segments, via_shim.segments);
-  EXPECT_EQ(counts_response.counts->peer_ases, via_shim.peer_ases);
-  EXPECT_EQ(counts_response.counts->peer_orgs, via_shim.peer_orgs);
-
-  request = {};
-  request.kind = QueryKind::kConfidenceHistogram;
-  const QueryResponse histogram_response = engine.execute(request);
-  ASSERT_TRUE(histogram_response.histogram.has_value());
-  EXPECT_EQ(histogram_response.histogram->bins,
-            engine.confidence_histogram().bins);
-
-  request = {};
-  request.kind = QueryKind::kPeerList;
-  EXPECT_EQ(engine.execute(request).items, index.peer_asns());
-
-  // Lookup: the response mirrors the pointer-based shim hit field by field.
-  request = {};
-  request.kind = QueryKind::kLookup;
-  const SegmentFacts facts = index.segment(0);
-  request.address = facts.abi;
-  const QueryResponse hit_response = engine.execute(request);
-  const auto hit = engine.lookup(Ipv4(facts.abi));
-  ASSERT_TRUE(hit_response.found);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit_response.prefix_network, hit->prefix.network().value());
-  EXPECT_EQ(hit_response.prefix_length, hit->prefix.length());
-  EXPECT_EQ(hit_response.is_interface, hit->is_interface);
-  EXPECT_EQ(hit_response.role_abi, hit->abi);
-  EXPECT_EQ(hit_response.role_cbi, hit->cbi);
-  ASSERT_NE(hit->segments, nullptr);
-  EXPECT_EQ(hit_response.items, *hit->segments);
-
-  // A missing address is kOk with found=false, not an error.
-  request.address = Ipv4(255, 255, 255, 254).value();
-  const QueryResponse miss = engine.execute(request);
-  EXPECT_EQ(miss.status, QueryStatus::kOk);
-  EXPECT_FALSE(miss.found);
-  EXPECT_TRUE(miss.items.empty());
-}
-
 TEST(QueryApi, EveryCallBumpsItsOwnCounter) {
   MetricsRegistry registry(true);
-  const QueryEngine engine(shared_index(), &registry);
+  const QueryEngine engine(testfx::small_view(), &registry);
 
   const struct {
     QueryKind kind;
@@ -136,48 +55,50 @@ TEST(QueryApi, EveryCallBumpsItsOwnCounter) {
     total += counter_value(registry, name);
   EXPECT_EQ(total, 8u);
 
-  // The deprecated shims bump the same counters as their execute() form.
-  engine.vpi_candidates();
-  EXPECT_EQ(counter_value(registry, "query.vpi_candidates"), 2u);
-  engine.lookup(Ipv4(10, 0, 0, 1));
+  // A second call of one kind moves that kind's counter and no other.
+  QueryRequest lookup;
+  lookup.kind = QueryKind::kLookup;
+  lookup.address = Ipv4(10, 0, 0, 1).value();
+  engine.execute(lookup);
   EXPECT_EQ(counter_value(registry, "query.lookups"), 2u);
-  engine.confidence_histogram();
-  EXPECT_EQ(counter_value(registry, "query.confidence_histogram"), 2u);
+  EXPECT_EQ(counter_value(registry, "query.vpi_candidates"), 1u);
 }
 
 TEST(QueryApi, MinConfidenceFiltersPeersOfAndVpiCandidates) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
+  const FabricView& view = testfx::small_view();
+  const QueryEngine engine(view);
+  // The unfiltered answer (default threshold -1) with every item scoring
+  // below `min` dropped.
+  const auto kept = [&](QueryRequest request, double min) {
+    request.min_confidence = -1.0;
+    std::vector<std::uint32_t> out;
+    for (const std::uint32_t i : engine.execute(request).items)
+      if (view.segment(i).confidence >= min) out.push_back(i);
+    return out;
+  };
 
   QueryRequest request;
   request.kind = QueryKind::kVpiCandidates;
   request.min_confidence = 0.6;
-  const QueryResponse filtered = engine.execute(request);
-  std::vector<std::uint32_t> expected;
-  for (const std::uint32_t i : engine.vpi_candidates())
-    if (index.segment(i).confidence >= 0.6) expected.push_back(i);
-  EXPECT_EQ(filtered.items, expected);
-
+  EXPECT_EQ(engine.execute(request).items, kept(request, 0.6));
   // The default threshold (-1) filters nothing.
   request.min_confidence = -1.0;
-  EXPECT_EQ(engine.execute(request).items, engine.vpi_candidates());
+  EXPECT_EQ(engine.execute(request).items.size(), view.vpi_list().size());
 
-  ASSERT_FALSE(index.peer_asns().empty());
-  for (const std::uint32_t asn : index.peer_asns()) {
+  ASSERT_FALSE(view.asn_list().empty());
+  for (const std::uint32_t asn : view.asn_list()) {
     request = {};
     request.kind = QueryKind::kPeersOf;
     request.asn = asn;
     request.min_confidence = 0.6;
-    expected.clear();
-    for (const std::uint32_t i : engine.peers_of(Asn{asn}))
-      if (index.segment(i).confidence >= 0.6) expected.push_back(i);
-    EXPECT_EQ(engine.execute(request).items, expected) << "AS" << asn;
+    EXPECT_EQ(engine.execute(request).items, kept(request, 0.6))
+        << "AS" << asn;
   }
 }
 
 TEST(QueryApi, WantBriefsExpandsSegmentIndexResults) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
+  const FabricView& view = testfx::small_view();
+  const QueryEngine engine(view);
 
   QueryRequest request;
   request.kind = QueryKind::kVpiCandidates;
@@ -186,7 +107,7 @@ TEST(QueryApi, WantBriefsExpandsSegmentIndexResults) {
   ASSERT_EQ(response.briefs.size(), response.items.size());
   for (std::size_t i = 0; i < response.items.size(); ++i) {
     const SegmentBrief& brief = response.briefs[i];
-    const SegmentFacts facts = index.segment(response.items[i]);
+    const SegmentFacts facts = view.segment(response.items[i]);
     EXPECT_EQ(brief.index, response.items[i]);
     EXPECT_EQ(brief.abi, facts.abi);
     EXPECT_EQ(brief.cbi, facts.cbi);
@@ -207,7 +128,7 @@ TEST(QueryApi, WantBriefsExpandsSegmentIndexResults) {
 }
 
 TEST(QueryApi, MalformedRequestsComeBackAsBadRequest) {
-  const QueryEngine engine(shared_index());
+  const QueryEngine engine(testfx::small_view());
   QueryRequest request;
   request.kind = static_cast<QueryKind>(200);
   const QueryResponse response = engine.execute(request);

@@ -21,7 +21,6 @@
 #include "fixtures.h"
 #include "io/snapshot.h"
 #include "query/engine.h"
-#include "query/fabric_index.h"
 #include "query/request.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -142,17 +141,16 @@ TEST(Serve, QueryRequestPayloadRoundTrips) {
 TEST(Serve, QueryResponsePayloadRoundTripsEveryShape) {
   // One response per kind, served by a real engine so every optional
   // section (counts, histogram, briefs, lookup fields) is exercised.
-  const FabricIndex index(testfx::small_pipeline().run_snapshot());
-  const QueryEngine engine(index);
+  const FabricView& view = testfx::small_view();
+  const QueryEngine engine(view);
   std::vector<QueryRequest> requests(kQueryKindCount);
   for (std::uint8_t k = 0; k < kQueryKindCount; ++k) {
     requests[k].kind = static_cast<QueryKind>(k);
     requests[k].want_briefs = true;
   }
-  ASSERT_FALSE(index.peer_asns().empty());
-  requests[static_cast<int>(QueryKind::kPeersOf)].asn =
-      index.peer_asns().front();
-  requests[static_cast<int>(QueryKind::kLookup)].address = index.segment(0).abi;
+  ASSERT_FALSE(view.asn_list().empty());
+  requests[static_cast<int>(QueryKind::kPeersOf)].asn = view.asn_list()[0];
+  requests[static_cast<int>(QueryKind::kLookup)].address = view.segment(0).abi;
   requests[static_cast<int>(QueryKind::kMinConfidence)].min_confidence = 0.5;
 
   for (const QueryRequest& request : requests) {
@@ -230,16 +228,16 @@ TEST(Serve, LoopbackServerAnswersEveryQueryClass) {
   EXPECT_TRUE(client->ping(&error)) << error;
 
   // Remote answers must equal local ones over the same snapshot.
-  const FabricIndex index(testfx::small_pipeline().run_snapshot());
-  const QueryEngine local(index);
+  const FabricView& view = testfx::small_view();
+  const QueryEngine local(view);
   for (std::uint8_t k = 0; k < kQueryKindCount; ++k) {
     QueryRequest request;
     request.kind = static_cast<QueryKind>(k);
     request.want_briefs = true;
     if (request.kind == QueryKind::kPeersOf)
-      request.asn = index.peer_asns().front();
+      request.asn = view.asn_list()[0];
     if (request.kind == QueryKind::kLookup)
-      request.address = index.segment(0).abi;
+      request.address = view.segment(0).abi;
     if (request.kind == QueryKind::kMinConfidence)
       request.min_confidence = 0.5;
     QueryResponse remote;

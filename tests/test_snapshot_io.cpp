@@ -3,6 +3,7 @@
 // diagnostic, never a crash or a silent partial load.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -10,6 +11,7 @@
 
 #include "fixtures.h"
 #include "io/snapshot.h"
+#include "io/snapshot_v3.h"
 #include "query/snapshot.h"
 
 namespace cloudmap {
@@ -116,7 +118,7 @@ TEST(SnapshotIo, HandBuiltRoundTrip) {
   EXPECT_EQ(seg.peer_org, OrgId{7});
   EXPECT_EQ(seg.group, 1);
   EXPECT_EQ(seg.regions, (std::vector<std::uint32_t>{1, 3, 5}));
-  // v2 confidence section round-trips bit for bit.
+  // Confidence fields round-trip bit for bit.
   EXPECT_EQ(loaded->segments[0].observations, 1u);
   EXPECT_EQ(loaded->segments[0].rounds_mask, 0b01u);
   EXPECT_DOUBLE_EQ(loaded->segments[0].hop_density, 1.0);
@@ -146,72 +148,31 @@ TEST(SnapshotIo, HandBuiltRoundTrip) {
   EXPECT_EQ(loaded->stage_reports[0].recovered_targets, 5u);
 }
 
-TEST(SnapshotIo, LegacyV1SaveLoadsWithZeroConfidence) {
-  // The writer can still emit the v1 layout (5 sections, no confidence, no
-  // retry fields in stage metrics); the loader accepts it and defaults the
-  // v2 fields to zero.
-  const RunSnapshot original = sample_snapshot();
-  std::ostringstream out;
-  save_snapshot(out, original, /*version=*/1);
-  const std::string bytes = out.str();
-  EXPECT_EQ(bytes[6], 1);  // header carries version 1
-  std::istringstream in(bytes);
-  std::string error;
-  const auto loaded = load_snapshot(in, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  ASSERT_EQ(loaded->segments.size(), 2u);
-  for (const SnapshotSegment& seg : loaded->segments) {
-    EXPECT_EQ(seg.observations, 0u);
-    EXPECT_EQ(seg.rounds_mask, 0u);
-    EXPECT_DOUBLE_EQ(seg.hop_density, 0.0);
-    EXPECT_DOUBLE_EQ(seg.confidence, 0.0);
-  }
-  ASSERT_EQ(loaded->stage_reports.size(), 1u);
-  EXPECT_EQ(loaded->stage_reports[0].retries, 0u);
-  EXPECT_EQ(loaded->stage_reports[0].backoff_ticks, 0u);
-  // Resaving a legacy file at the default version upgrades it to the
-  // current flat format.
-  const std::string resaved = save_to_string(*loaded);
-  EXPECT_EQ(resaved[6], 3);
+// The saved sample with `size` bytes at offset `field` of the flat
+// fabric's first segment record (io/snapshot_v3.h V3Segment) overwritten
+// and the section CRC re-stamped, so only the blob validator can refuse it.
+std::string forge_first_segment(std::size_t field, const void* value,
+                                std::size_t size) {
+  std::string bytes = save_to_string(sample_snapshot());
+  // Section 7 is table entry 1; its payload starts at file offset 80, and
+  // the directory's segments_off sits at blob offset 8.
+  std::uint32_t segments_off = 0;
+  std::memcpy(&segments_off, bytes.data() + 80 + 8, 4);
+  std::memcpy(bytes.data() + 80 + segments_off + field, value, size);
+  testfx::restamp_crc(bytes, 1);
+  return bytes;
 }
 
 TEST(SnapshotIo, RejectsConfidenceOutOfRangeWithValidCrc) {
-  // Corrupt the first confidence score to 2.0 and fix up the section CRC,
-  // so only the domain check can catch it. The confidence section only
-  // exists in the v2 layout (v3 carries confidence inside the flat blob, a
-  // case test_snapshot_v3.cpp covers), so save v2 explicitly.
-  RunSnapshot snap = sample_snapshot();
-  canonicalize(snap);
-  std::ostringstream v2_out;
-  save_snapshot(v2_out, snap, /*version=*/2);
-  const std::string good = v2_out.str();
-  std::size_t conf_offset = 0, conf_size = 0, crc_pos = 0;
-  for (std::size_t i = 0; i < 6; ++i) {
-    const std::size_t base = 12 + i * 24;
-    std::uint32_t id = 0;
-    std::memcpy(&id, good.data() + base, 4);
-    if (id != 6) continue;
-    std::uint64_t off = 0, size = 0;
-    std::memcpy(&off, good.data() + base + 4, 8);
-    std::memcpy(&size, good.data() + base + 12, 8);
-    conf_offset = static_cast<std::size_t>(off);
-    conf_size = static_cast<std::size_t>(size);
-    crc_pos = base + 20;
-  }
-  ASSERT_GT(conf_size, 0u);
-  std::string bytes = good;
-  // Payload: u32 count, then {u32 obs, u32 rounds_mask, f64 density,
-  // f64 confidence} per segment — first score at +4+4+4+8.
   const double bad_score = 2.0;
-  std::memcpy(bytes.data() + conf_offset + 20, &bad_score, 8);
-  const std::uint32_t crc = snapshot_crc32(
-      reinterpret_cast<const unsigned char*>(bytes.data()) + conf_offset,
-      conf_size);
-  std::memcpy(bytes.data() + crc_pos, &crc, 4);
-  std::istringstream in(bytes);
-  std::string error;
-  EXPECT_FALSE(load_snapshot(in, &error).has_value());
-  EXPECT_NE(error.find("section 6"), std::string::npos) << error;
+  const testfx::LoaderVerdicts v = testfx::both_loaders(
+      forge_first_segment(offsetof(snapv3::V3Segment, confidence),
+                          &bad_score, sizeof(bad_score)));
+  EXPECT_FALSE(v.loaded);
+  EXPECT_FALSE(v.mapped);
+  EXPECT_NE(v.load_error.find("confidence out of"), std::string::npos)
+      << v.load_error;
+  EXPECT_EQ(v.map_error, v.load_error);
 }
 
 TEST(SnapshotIo, SaveLoadSaveIsByteIdentical) {
@@ -264,18 +225,22 @@ TEST(SnapshotIo, RejectsBadMagic) {
 }
 
 TEST(SnapshotIo, RejectsUnknownVersion) {
-  std::string bytes = save_to_string(sample_snapshot());
-  bytes[6] = static_cast<char>(kSnapshotFormatVersion + 1);
-  std::string error;
-  EXPECT_FALSE(load_bytes(bytes, &error).has_value());
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  // The retired layouts and any future one alike.
+  for (const int version : {1, 2, kSnapshotFormatVersion + 1}) {
+    std::string bytes = save_to_string(sample_snapshot());
+    bytes[6] = static_cast<char>(version);
+    std::string error;
+    EXPECT_FALSE(load_bytes(bytes, &error).has_value()) << version;
+    EXPECT_NE(error.find("version " + std::to_string(version)),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(SnapshotIo, CrcCatchesEveryPayloadByteFlip) {
   const std::string good = save_to_string(sample_snapshot());
   // Payloads start after the header and the section table; read the section
-  // count from the file so the sweep covers every payload byte regardless
-  // of which format version the writer emits.
+  // count from the file so the sweep covers every payload byte.
   std::uint32_t section_count = 0;
   std::memcpy(&section_count, good.data() + 8, 4);
   const std::size_t payload_start = 12 + section_count * std::size_t{24};
@@ -309,45 +274,15 @@ TEST(SnapshotIo, RejectsTrailingGarbage) {
 }
 
 TEST(SnapshotIo, RejectsOutOfRangeEnumWithValidCrc) {
-  // Corrupt a field *and* fix up the section CRC so only the range check
-  // can catch it: confirmation byte of the first segment record. The
-  // byte-addressed segment section is v1/v2 only, so save v2 explicitly
-  // (v3 enum checks are exercised in test_snapshot_v3.cpp).
-  RunSnapshot snap = sample_snapshot();
-  canonicalize(snap);
-  std::ostringstream v2_out;
-  save_snapshot(v2_out, snap, /*version=*/2);
-  const std::string good = v2_out.str();
-  // Find the segments section (id 2) in the table to locate its payload.
-  const auto entry_at = [&](std::size_t i) {
-    return 12 + i * 24;  // header is 12 bytes, entries 24
-  };
-  std::size_t seg_offset = 0, seg_size = 0, crc_pos = 0;
-  for (std::size_t i = 0; i < 6; ++i) {
-    const std::size_t base = entry_at(i);
-    std::uint32_t id = 0;
-    std::memcpy(&id, good.data() + base, 4);
-    if (id != 2) continue;
-    std::uint64_t off = 0, size = 0;
-    std::memcpy(&off, good.data() + base + 4, 8);
-    std::memcpy(&size, good.data() + base + 12, 8);
-    seg_offset = static_cast<std::size_t>(off);
-    seg_size = static_cast<std::size_t>(size);
-    crc_pos = base + 20;
-  }
-  ASSERT_GT(seg_size, 0u);
-  std::string bytes = good;
-  // Segment payload: u32 count, then the record; confirmation follows
-  // 4×u32 addresses + i32 first_round.
-  const std::size_t confirmation_pos = seg_offset + 4 + 16 + 4;
-  bytes[confirmation_pos] = 9;  // Confirmation only goes to 4
-  const std::uint32_t crc = snapshot_crc32(
-      reinterpret_cast<const unsigned char*>(bytes.data()) + seg_offset,
-      seg_size);
-  std::memcpy(bytes.data() + crc_pos, &crc, 4);
-  std::string error;
-  EXPECT_FALSE(load_bytes(bytes, &error).has_value());
-  EXPECT_NE(error.find("section 2"), std::string::npos) << error;
+  const std::uint8_t bad_confirmation = 9;  // Confirmation only goes to 4
+  const testfx::LoaderVerdicts v = testfx::both_loaders(
+      forge_first_segment(offsetof(snapv3::V3Segment, confirmation),
+                          &bad_confirmation, sizeof(bad_confirmation)));
+  EXPECT_FALSE(v.loaded);
+  EXPECT_FALSE(v.mapped);
+  EXPECT_NE(v.load_error.find("bad confirmation"), std::string::npos)
+      << v.load_error;
+  EXPECT_EQ(v.map_error, v.load_error);
 }
 
 TEST(SnapshotIo, FileRoundTrip) {

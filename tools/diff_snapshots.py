@@ -4,18 +4,17 @@
 Usage: diff_snapshots.py A.snap B.snap [C.snap ...]
        diff_snapshots.py --shard-parts PART [PART ...] [--expect-complete]
 
-Independently re-implements the snapshot reader (format spec: DESIGN.md §7–8
+Independently re-implements the snapshot reader (format spec: DESIGN.md §7
 and §11, src/io/snapshot.h, src/io/snapshot_v3.h) so CI cross-checks the C++
-codec: magic, format version (v1, v2, and the flat zero-copy v3 all
-accepted), and every section CRC are verified with Python's zlib.crc32
-before anything is compared. For v3 files the flat-fabric blob's directory
-is walked directly (the same records FabricView serves from). Prints the
+codec: magic, format version (3 only; the retired v1/v2 layouts are refused
+naming their version), and every section CRC are verified with Python's
+zlib.crc32 before anything is compared. The flat-fabric blob's directory is
+walked directly (the same records FabricView serves from). Prints the
 segment- and pin-level churn between the two runs — the same
 added/removed/re-confirmed/re-pinned classes `cloudmap_cli diff` reports —
-plus per-segment confidence drift for v2+ snapshots and the metadata of
-each side, so mixed-version pairs (e.g. a v2 archive against a v3 re-save)
-diff cleanly. The optional hazard section (id 8) is decoded when present
-and each side's hazard profile is reported.
+plus per-segment confidence drift and the metadata of each side. The
+optional hazard section (id 8) is decoded when present and each side's
+hazard profile is reported.
 
 With more than two snapshots the tool switches to a longitudinal summary:
 one turnover row per consecutive pair (added/removed/re-confirmed segments,
@@ -51,9 +50,7 @@ import sys
 import zlib
 
 MAGIC = b"CMSNAP"
-# v2 adds the per-segment confidence section (id 6); v3 replaces sections
-# 2-6 with one flat zero-copy blob (section id 7).
-FORMAT_VERSIONS = (1, 2, 3)
+FORMAT_VERSION = 3
 HEADER = struct.Struct("<6sHI")
 TABLE_ENTRY = struct.Struct("<IQQI")
 
@@ -121,16 +118,16 @@ def read_snapshot(path):
     if magic != MAGIC:
         raise ParseError("%s: bad magic at offset 0 (not a cloudmap "
                          "snapshot)" % path)
-    if version not in FORMAT_VERSIONS:
-        raise ParseError("%s: format version %d at offset 6, expected "
-                         "one of %s" % (path, version,
-                                        list(FORMAT_VERSIONS)))
+    if version != FORMAT_VERSION:
+        raise ParseError("%s: format version %d at offset 6, expected %d"
+                         % (path, version, FORMAT_VERSION))
 
     sections = {}
     table_end = HEADER.size + section_count * TABLE_ENTRY.size
     if table_end > len(blob):
         raise ParseError("%s: section table runs to offset %d but the file "
                          "ends at %d" % (path, table_end, len(blob)))
+    end_of_payloads = table_end
     for i in range(section_count):
         sid, offset, size, crc = TABLE_ENTRY.unpack_from(
             blob, HEADER.size + i * TABLE_ENTRY.size)
@@ -140,90 +137,44 @@ def read_snapshot(path):
                              "bytes)" % (path, sid,
                                          HEADER.size + i * TABLE_ENTRY.size,
                                          offset, offset + size, len(blob)))
+        end_of_payloads = max(end_of_payloads, offset + size)
+        if sid == 7 and offset % 8:
+            # The mmap path casts the blob's records in place.
+            raise ParseError("%s: flat fabric at offset %d is not 8-byte "
+                             "aligned" % (path, offset))
         payload = blob[offset:offset + size]
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise ParseError("%s: section %d CRC mismatch (payload at "
                              "offset %d)" % (path, sid, offset))
+        if sid in sections and sid in (1, 7, 8):
+            raise ParseError("%s: duplicate section %d (table entry at "
+                             "offset %d)" % (path, sid,
+                                             HEADER.size + i * TABLE_ENTRY.size))
         sections[sid] = payload
+    if end_of_payloads != len(blob):
+        raise ParseError("%s: %d trailing bytes at offset %d past the last "
+                         "section" % (path, len(blob) - end_of_payloads,
+                                      end_of_payloads))
 
-    required = (1, 7) if version >= 3 else (1, 2, 3)
-    for sid in required:
+    for sid in (1, 7):
         if sid not in sections:
             raise ParseError("%s: missing required section %d"
                              % (path, sid))
 
     meta = Cursor(sections[1], "meta")
     seed, threads, subject = meta.take("QiB")
-    if version >= 3:
-        # v3 pads the meta section to 20 bytes so the flat blob that follows
-        # sits 8-byte aligned in the file.
-        pad = meta.take("7B")
-        if any(pad):
-            raise ParseError("%s: nonzero meta padding" % path)
+    # The meta section is padded to 20 bytes so the flat blob that follows
+    # sits 8-byte aligned in the file.
+    pad = meta.take("7B")
+    if any(pad):
+        raise ParseError("%s: nonzero meta padding" % path)
     meta.done()
 
-    hazard = read_hazard(path, sections.get(8))
-
-    if version >= 3:
-        segments, pins, confidence = read_flat_fabric(path, sections[7])
-        return {"path": path, "seed": seed, "threads": threads,
-                "subject": subject, "version": version, "segments": segments,
-                "pins": pins, "confidence": confidence, "hazard": hazard}
-
-    segments = {}
-    segment_order = []  # (abi, cbi) in file order, for the confidence section
-    body = Cursor(sections[2], "segments")
-    for _ in range(body.take("I")):
-        abi, cbi, _prior, _post = body.take("IIII")
-        _round = body.take("i")
-        confirmation, flags, group = body.take("BBB")
-        if confirmation >= len(CONFIRMATION_NAMES):
-            raise ParseError("%s: confirmation %d out of range"
-                             % (path, confirmation))
-        _owner, peer_asn, _org = body.take("III")
-        for _ in range(body.take("I")):
-            body.take("I")  # regions
-        for _ in range(body.take("I")):
-            body.take("I")  # dest /24s
-        segments[(abi, cbi)] = (confirmation, flags, group, peer_asn)
-        segment_order.append((abi, cbi))
-    body.done()
-
-    # v2 confidence section: parallel to the segment table, in file order.
-    confidence = {}
-    if version >= 2:
-        if 6 not in sections:
-            raise ParseError("%s: v2 snapshot missing confidence section"
-                             % path)
-        body = Cursor(sections[6], "confidence")
-        count = body.take("I")
-        if count != len(segment_order):
-            raise ParseError(
-                "%s: confidence count %d != segment count %d"
-                % (path, count, len(segment_order)))
-        for key in segment_order:
-            observations, rounds_mask = body.take("II")
-            density, score = body.take("dd")
-            if not (0.0 <= density <= 1.0) or not (0.0 <= score <= 1.0):
-                raise ParseError("%s: confidence fields out of range for "
-                                 "%s > %s" % (path, ip(key[0]), ip(key[1])))
-            confidence[key] = (observations, rounds_mask, density, score)
-        body.done()
-
-    pins = {}
-    body = Cursor(sections[3], "pins")
-    for _ in range(body.take("I")):
-        address, metro = body.take("II")
-        _rule, _source = body.take("BB")
-        body.take("i")
-        pins[address] = metro
-    for _ in range(body.take("I")):
-        body.take("II")  # regional fallback entries
-    body.done()
-
+    segments, pins, confidence = read_flat_fabric(path, sections[7])
     return {"path": path, "seed": seed, "threads": threads,
             "subject": subject, "version": version, "segments": segments,
-            "pins": pins, "confidence": confidence, "hazard": hazard}
+            "pins": pins, "confidence": confidence,
+            "hazard": read_hazard(path, sections.get(8))}
 
 
 def read_hazard(path, payload):
@@ -246,6 +197,10 @@ def read_hazard(path, payload):
                              "UTF-8 (%s)" % (path, what, start, error))
 
     profile = string("profile")
+    if not profile:
+        # The writer omits the section for an empty profile.
+        raise ParseError("%s: empty hazard profile at section offset 0"
+                         % path)
     metrics = {}
     for _ in range(body.take("I")):
         name = string("metric name")
@@ -255,9 +210,9 @@ def read_hazard(path, payload):
 
 
 def read_flat_fabric(path, blob):
-    """Parse the v3 flat-fabric blob into the same (segments, pins,
-    confidence) shape the v1/v2 section walk produces, bounds-checking the
-    directory like snapv3::validate_flat_fabric does."""
+    """Parse the flat-fabric blob into (segments, pins, confidence) dicts
+    keyed by (abi, cbi) and address, bounds-checking the directory like
+    snapv3::validate_flat_fabric does."""
     if len(blob) < 400:
         raise ParseError("%s: flat blob is %d bytes, shorter than its "
                          "directory" % (path, len(blob)))
@@ -476,7 +431,7 @@ def print_pair(a, b, diff):
              len(diff["reconfirmed"])))
     print("pins: %d re-pinned" % len(diff["repinned"]))
 
-    # Confidence drift: only meaningful when both sides carry the v2 section.
+    # Confidence drift: only meaningful when both sides carry segments.
     if a["confidence"] and b["confidence"]:
         print("confidence: %d of %d common segments re-scored"
               % (len(diff["rescored"]), len(diff["common"])))

@@ -48,12 +48,25 @@ def expect(name, argv, status, stderr_has=None):
 
 
 def main():
-    snap = os.path.join(CORPUS, "snapshot", "v2.snap")
+    snap = os.path.join(CORPUS, "snapshot", "v3.snap")
     part = os.path.join(CORPUS, "shard", "single.part")
     with tempfile.TemporaryDirectory() as tmp:
         trunc_snap = os.path.join(tmp, "trunc.snap")
         with open(snap, "rb") as src, open(trunc_snap, "wb") as dst:
             dst.write(src.read()[:40])
+        # Bytes both C++ loaders refuse although every CRC holds: garbage
+        # after the last section, and the flat section (table entry 1,
+        # payload at 80) moved one byte off 8-byte alignment.
+        with open(snap, "rb") as handle:
+            good = handle.read()
+        trailing_snap = os.path.join(tmp, "trailing.snap")
+        with open(trailing_snap, "wb") as handle:
+            handle.write(good + b"xx")
+        odd = bytearray(good[:80] + b"\0" + good[80:])
+        odd[40:48] = (81).to_bytes(8, "little")
+        odd_snap = os.path.join(tmp, "odd.snap")
+        with open(odd_snap, "wb") as handle:
+            handle.write(bytes(odd))
         garbage = os.path.join(tmp, "garbage.part")
         with open(garbage, "wb") as handle:
             handle.write(b"\xde\xad\xbe\xef" * 16)
@@ -77,6 +90,21 @@ def main():
         expect("diff: missing file exits 2",
                [DIFF, os.path.join(tmp, "no-such.snap"), snap], 2,
                stderr_has="FAIL")
+        expect("diff: retired v2 layout exits 2 naming its version",
+               [DIFF, os.path.join(CORPUS, "snapshot", "v2.snap"), snap], 2,
+               stderr_has="format version 2")
+        for bad, reason in (
+                (os.path.join(CORPUS, "snapshot",
+                              "regress-malformed-hazard.snap"),
+                 "empty hazard profile"),
+                (os.path.join(CORPUS, "snapshot",
+                              "regress-duplicate-hazard.snap"),
+                 "duplicate section 8"),
+                (trailing_snap, "trailing bytes"),
+                (odd_snap, "8-byte aligned")):
+            expect("diff: %s exits 2 like both C++ loaders"
+                   % os.path.basename(bad), [DIFF, bad, snap], 2,
+                   stderr_has=reason)
         expect("diff: valid shard part exits 0",
                [DIFF, "--shard-parts", part], 0)
         expect("diff: garbage shard part exits 2 with a diagnostic",

@@ -1,6 +1,8 @@
 // IPv4 value-type behaviour: formatting, parsing, classification.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "net/ipv4.h"
 
 namespace cloudmap {
@@ -27,6 +29,12 @@ struct ParseCase {
   const char* text;
   bool valid;
 };
+// Cases print by value. gtest's default dump of the struct's bytes (a
+// pointer plus padding) differs from run to run, and ctest names each
+// case after it.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << '"' << c.text << (c.valid ? "\" valid" : "\" invalid");
+}
 class Ipv4Parse : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(Ipv4Parse, HandlesEdgeCases) {

@@ -1,6 +1,8 @@
 // CIDR prefix algebra.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "net/prefix.h"
 
 namespace cloudmap {
@@ -72,6 +74,12 @@ struct PrefixParseCase {
   const char* text;
   bool valid;
 };
+// Cases print by value. gtest's default dump of the struct's bytes (a
+// pointer plus padding) differs from run to run, and ctest names each
+// case after it.
+void PrintTo(const PrefixParseCase& c, std::ostream* os) {
+  *os << '"' << c.text << (c.valid ? "\" valid" : "\" invalid");
+}
 class PrefixParse : public ::testing::TestWithParam<PrefixParseCase> {};
 
 TEST_P(PrefixParse, HandlesEdgeCases) {

@@ -103,19 +103,38 @@ bool fail(std::string* error, const std::string& message) {
 }  // namespace
 
 std::uint32_t snapshot_crc32(const unsigned char* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: table[k][b] is the CRC register after byte b and then k
+  // zero bytes, so one step folds eight input bytes with eight lookups.
+  static const std::array<std::array<std::uint32_t, 256>, 8> table = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k)
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      t[i] = c;
+      t[0][i] = c;
     }
+    for (std::size_t k = 1; k < t.size(); ++k)
+      for (std::size_t i = 0; i < 256; ++i)
+        t[k][i] = t[0][t[k - 1][i] & 0xFF] ^ (t[k - 1][i] >> 8);
     return t;
   }();
+  // Little-endian words assembled byte by byte: no alignment assumption.
+  const auto le32 = [](const unsigned char* p) {
+    return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+           std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+  };
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i)
-    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const std::uint32_t lo = crc ^ le32(data + i);
+    const std::uint32_t hi = le32(data + i + 4);
+    crc = table[7][lo & 0xFF] ^ table[6][(lo >> 8) & 0xFF] ^
+          table[5][(lo >> 16) & 0xFF] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xFF] ^ table[2][(hi >> 8) & 0xFF] ^
+          table[1][(hi >> 16) & 0xFF] ^ table[0][hi >> 24];
+  }
+  for (; i < size; ++i)
+    crc = table[0][(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

@@ -92,7 +92,8 @@ std::optional<RunSnapshot> load_snapshot(std::istream& in,
 std::optional<RunSnapshot> load_snapshot_file(const std::string& path,
                                               std::string* error = nullptr);
 
-// CRC-32 (zlib polynomial) over a byte buffer; exposed for tests.
+// CRC-32 over a byte buffer: the zlib polynomial and values (zlib.crc32),
+// computed eight bytes at a step. Exposed for tests.
 std::uint32_t snapshot_crc32(const unsigned char* data, std::size_t size);
 
 }  // namespace cloudmap

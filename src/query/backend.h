@@ -1,7 +1,8 @@
 // The value types the query engine reads out of a FabricView
 // (query/fabric_view.h), the zero-copy view over a format-v3 flat fabric
-// blob: spans into the blob, per-segment facts, lookup hits, and the
-// confidence histogram.
+// blob: spans into the blob, per-segment facts, lookup hits, and the two
+// aggregates the view precomputes, the confidence histogram and the
+// fabric counts.
 //
 // Spans point into the view's backing storage: valid for the lifetime of
 // the view, never null (empty spans have size 0).
@@ -11,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "analysis/grouping.h"
 #include "net/prefix.h"
 
 namespace cloudmap {
@@ -61,6 +63,30 @@ struct ConfidenceHistogram {
   double mean = 0.0;
   double min = 0.0;
   double max = 0.0;
+};
+
+// Aggregate answers in the shape of the paper's tables: interface totals
+// per confirmation class (Tables 1/2), the VPI overlap (Table 4), and the
+// six-group peering breakdown (Table 5), plus the §6 pinning coverage.
+// Precomputed, like the histogram, in the one pass over the segment
+// records that builds the view.
+struct FabricCounts {
+  std::size_t segments = 0;
+  std::size_t unique_abis = 0;
+  std::size_t unique_cbis = 0;
+  std::size_t peer_ases = 0;
+  std::size_t peer_orgs = 0;
+  std::array<std::size_t, 5> by_confirmation{};  // indexed by Confirmation
+  std::size_t ixp_segments = 0;   // public peerings (CBI on an IXP LAN)
+  std::size_t vpi_cbis = 0;       // unique CBIs in the multi-cloud overlap
+  std::array<std::size_t, kPeeringGroupCount> group_segments{};
+  std::array<std::size_t, kPeeringGroupCount> group_ases{};
+  std::size_t unattributed_segments = 0;
+  std::size_t pinned_interfaces = 0;   // metro-level pins
+  std::size_t regional_only = 0;       // regional fallback entries
+  // Confidence aggregates.
+  double mean_confidence = 0.0;
+  std::size_t confident_segments = 0;  // confidence >= 0.5
 };
 
 // FabricView is the one query backend. Its former interface name stays as

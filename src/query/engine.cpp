@@ -1,7 +1,6 @@
 #include "query/engine.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace cloudmap {
 
@@ -56,47 +55,7 @@ QueryResponse QueryEngine::execute(const QueryRequest& request) const {
   bool segment_items = false;
   switch (request.kind) {
     case QueryKind::kCounts: {
-      FabricCounts counts;
-      std::unordered_set<std::uint32_t> abis;
-      std::unordered_set<std::uint32_t> cbis;
-      std::unordered_set<std::uint32_t> orgs;
-      std::unordered_set<std::uint32_t> vpi_cbis;
-      std::array<std::unordered_set<std::uint32_t>, kPeeringGroupCount>
-          group_ases;
-      double confidence_sum = 0.0;
-      const auto total =
-          static_cast<std::uint32_t>(view_.segment_count());
-      for (std::uint32_t i = 0; i < total; ++i) {
-        const SegmentFacts seg = view_.segment(i);
-        ++counts.segments;
-        confidence_sum += seg.confidence;
-        if (seg.confidence >= 0.5) ++counts.confident_segments;
-        abis.insert(seg.abi);
-        cbis.insert(seg.cbi);
-        if (seg.peer_org != 0) orgs.insert(seg.peer_org);
-        ++counts.by_confirmation[seg.confirmation];
-        if (seg.ixp) ++counts.ixp_segments;
-        if (seg.vpi) vpi_cbis.insert(seg.cbi);
-        if (seg.group == kSnapshotNoGroup) {
-          ++counts.unattributed_segments;
-        } else {
-          ++counts.group_segments[seg.group];
-          if (seg.peer_asn != 0) group_ases[seg.group].insert(seg.peer_asn);
-        }
-      }
-      counts.unique_abis = abis.size();
-      counts.unique_cbis = cbis.size();
-      counts.peer_ases = view_.asn_list().size();
-      counts.peer_orgs = orgs.size();
-      counts.vpi_cbis = vpi_cbis.size();
-      for (std::size_t g = 0; g < kPeeringGroupCount; ++g)
-        counts.group_ases[g] = group_ases[g].size();
-      counts.pinned_interfaces = view_.pin_total();
-      counts.regional_only = view_.regional_total();
-      if (counts.segments > 0)
-        counts.mean_confidence =
-            confidence_sum / static_cast<double>(counts.segments);
-      out.counts = counts;
+      out.counts = view_.counts();
       return out;
     }
     case QueryKind::kPeersOf: {

@@ -1,6 +1,8 @@
 #include "query/fabric_view.h"
 
 #include <algorithm>
+#include <array>
+#include <unordered_set>
 
 namespace cloudmap {
 
@@ -20,22 +22,56 @@ FabricView::FabricView(const unsigned char* blob)
     : v_(snapv3::V3View::over(blob)) {
   const std::uint32_t total = v_.dir->segment_count;
   histogram_.segments = total;
-  if (total > 0) {
-    double sum = 0.0;
-    histogram_.min = v_.segments[0].confidence;
-    histogram_.max = histogram_.min;
-    for (std::uint32_t i = 0; i < total; ++i) {
-      const double score = v_.segments[i].confidence;
-      sum += score;
-      histogram_.min = std::min(histogram_.min, score);
-      histogram_.max = std::max(histogram_.max, score);
-      auto bin = static_cast<std::size_t>(score * 10.0);
-      if (bin >= histogram_.bins.size())
-        bin = histogram_.bins.size() - 1;  // score == 1.0
-      ++histogram_.bins[bin];
+  counts_.segments = total;
+  counts_.peer_ases = asn_list().size();
+  counts_.pinned_interfaces = v_.dir->pin_count;
+  counts_.regional_only = v_.dir->regional_count;
+  if (total == 0) return;
+
+  // One pass over the segment records feeds both aggregates. The sets are
+  // this pass's temporaries.
+  std::unordered_set<std::uint32_t> abis;
+  std::unordered_set<std::uint32_t> cbis;
+  std::unordered_set<std::uint32_t> orgs;
+  std::unordered_set<std::uint32_t> vpi_cbis;
+  std::array<std::unordered_set<std::uint32_t>, kPeeringGroupCount>
+      group_ases;
+  double sum = 0.0;
+  histogram_.min = v_.segments[0].confidence;
+  histogram_.max = histogram_.min;
+  for (std::uint32_t i = 0; i < total; ++i) {
+    const SegmentFacts seg = segment(i);
+    const double score = seg.confidence;
+    sum += score;
+    histogram_.min = std::min(histogram_.min, score);
+    histogram_.max = std::max(histogram_.max, score);
+    auto bin = static_cast<std::size_t>(score * 10.0);
+    if (bin >= histogram_.bins.size())
+      bin = histogram_.bins.size() - 1;  // score == 1.0
+    ++histogram_.bins[bin];
+
+    if (score >= 0.5) ++counts_.confident_segments;
+    abis.insert(seg.abi);
+    cbis.insert(seg.cbi);
+    if (seg.peer_org != 0) orgs.insert(seg.peer_org);
+    ++counts_.by_confirmation[seg.confirmation];
+    if (seg.ixp) ++counts_.ixp_segments;
+    if (seg.vpi) vpi_cbis.insert(seg.cbi);
+    if (seg.group == kSnapshotNoGroup) {
+      ++counts_.unattributed_segments;
+    } else {
+      ++counts_.group_segments[seg.group];
+      if (seg.peer_asn != 0) group_ases[seg.group].insert(seg.peer_asn);
     }
-    histogram_.mean = sum / static_cast<double>(total);
   }
+  histogram_.mean = sum / static_cast<double>(total);
+  counts_.mean_confidence = histogram_.mean;
+  counts_.unique_abis = abis.size();
+  counts_.unique_cbis = cbis.size();
+  counts_.peer_orgs = orgs.size();
+  counts_.vpi_cbis = vpi_cbis.size();
+  for (std::size_t g = 0; g < kPeeringGroupCount; ++g)
+    counts_.group_ases[g] = group_ases[g].size();
 }
 
 SegmentFacts FabricView::segment(std::uint32_t index) const {

@@ -1,9 +1,11 @@
 // FabricView: the query backend — a zero-copy view over a validated
 // format-v3 flat fabric blob (io/snapshot_v3.h). Construction casts typed
-// pointers over the blob and precomputes only the confidence histogram —
-// no per-segment decode, no allocation proportional to fabric size — so a
-// daemon can open a snapshot, validate it once, and start answering
-// queries out of the page cache immediately.
+// pointers over the blob and makes one pass over the segment records that
+// precomputes the confidence histogram and the fabric counts. The hash
+// sets that pass counts distinct addresses and ASes in are its temporaries:
+// the view itself holds nothing proportional to fabric size, so a daemon
+// can open a snapshot, validate it once, and start answering queries out
+// of the page cache immediately.
 //
 // The view borrows the blob: keep the backing storage (typically a
 // MappedSnapshot, io/mapped_snapshot.h) alive for the view's lifetime.
@@ -48,11 +50,10 @@ class FabricView {
 
   // Segment indices with confidence >= min_confidence, ascending.
   std::vector<std::uint32_t> min_confidence_list(double min_confidence) const;
-  const ConfidenceHistogram& histogram() const { return histogram_; }
 
-  // Aggregate totals the counts query folds in.
-  std::size_t pin_total() const { return v_.dir->pin_count; }
-  std::size_t regional_total() const { return v_.dir->regional_count; }
+  // The aggregates computed once at construction.
+  const ConfidenceHistogram& histogram() const { return histogram_; }
+  const FabricCounts& counts() const { return counts_; }
 
  private:
   Span32 pool_span(snapv3::V3Span span) const {
@@ -61,6 +62,7 @@ class FabricView {
 
   snapv3::V3View v_;
   ConfidenceHistogram histogram_;
+  FabricCounts counts_;
 };
 
 }  // namespace cloudmap

@@ -10,14 +10,12 @@
 // separate schema.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "analysis/grouping.h"
 #include "query/backend.h"
 
 namespace cloudmap {
@@ -25,7 +23,7 @@ namespace cloudmap {
 // One tag per query class. Values are part of the serve wire protocol —
 // append only, never renumber.
 enum class QueryKind : std::uint8_t {
-  kCounts = 0,               // full aggregate pass (Tables 1–5 shapes)
+  kCounts = 0,               // precomputed aggregates (Tables 1–5 shapes)
   kPeersOf = 1,              // segments of one peer ASN (uses `asn`)
   kPeerList = 2,             // all peer ASNs present, ascending
   kInterfacesIn = 3,         // pinned interface addresses (uses `metro`)
@@ -65,28 +63,6 @@ struct SegmentBrief {
   bool ixp = false;
   bool vpi = false;
   double confidence = 0.0;
-};
-
-// Aggregate answers in the shape of the paper's tables: interface totals
-// per confirmation class (Tables 1/2), the VPI overlap (Table 4), and the
-// six-group peering breakdown (Table 5), plus the §6 pinning coverage.
-struct FabricCounts {
-  std::size_t segments = 0;
-  std::size_t unique_abis = 0;
-  std::size_t unique_cbis = 0;
-  std::size_t peer_ases = 0;
-  std::size_t peer_orgs = 0;
-  std::array<std::size_t, 5> by_confirmation{};  // indexed by Confirmation
-  std::size_t ixp_segments = 0;   // public peerings (CBI on an IXP LAN)
-  std::size_t vpi_cbis = 0;       // unique CBIs in the multi-cloud overlap
-  std::array<std::size_t, kPeeringGroupCount> group_segments{};
-  std::array<std::size_t, kPeeringGroupCount> group_ases{};
-  std::size_t unattributed_segments = 0;
-  std::size_t pinned_interfaces = 0;   // metro-level pins
-  std::size_t regional_only = 0;       // regional fallback entries
-  // Confidence aggregates.
-  double mean_confidence = 0.0;
-  std::size_t confident_segments = 0;  // confidence >= 0.5
 };
 
 struct QueryResponse {

@@ -7,12 +7,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <set>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "fixtures.h"
+#include "io/snapshot_v3.h"
 #include "query/diff.h"
 #include "query/engine.h"
 
@@ -139,7 +142,11 @@ TEST(QueryEngine, CountsMatchBruteForce) {
   std::array<std::size_t, 5> by_conf{};
   std::array<std::size_t, kPeeringGroupCount> group_segments{};
   std::array<std::set<std::uint32_t>, kPeeringGroupCount> group_ases;
+  double confidence_sum = 0.0;  // in index order, as the view sums
+  std::size_t confident = 0;
   for (const SnapshotSegment& seg : snap.segments) {
+    confidence_sum += seg.confidence;
+    if (seg.confidence >= 0.5) ++confident;
     abis.insert(seg.abi.value());
     cbis.insert(seg.cbi.value());
     if (seg.peer_asn != Asn{0}) ases.insert(seg.peer_asn.value);
@@ -151,7 +158,9 @@ TEST(QueryEngine, CountsMatchBruteForce) {
       ++unattributed;
     } else {
       ++group_segments[seg.group];
-      group_ases[seg.group].insert(seg.peer_asn.value);
+      // An unknown peer AS (0) is no group's AS.
+      if (seg.peer_asn != Asn{0})
+        group_ases[seg.group].insert(seg.peer_asn.value);
     }
   }
   EXPECT_EQ(counts.segments, snap.segments.size());
@@ -170,8 +179,42 @@ TEST(QueryEngine, CountsMatchBruteForce) {
   EXPECT_EQ(counts.unattributed_segments, unattributed);
   EXPECT_EQ(counts.pinned_interfaces, snap.pins.size());
   EXPECT_EQ(counts.regional_only, snap.regional.size());
+  EXPECT_EQ(counts.confident_segments, confident);
+  // Exact, not approximate: the same scores added in the same order.
+  EXPECT_EQ(counts.mean_confidence,
+            confidence_sum / static_cast<double>(snap.segments.size()));
   EXPECT_GT(counts.segments, 0u);
   EXPECT_GT(counts.peer_ases, 0u);
+}
+
+TEST(QueryEngine, CountsOfAnEmptyMapAreZero) {
+  // The view computes the counts on every load, so a map with no segments
+  // must take the early exit and answer all zeros.
+  const std::string blob = snapv3::encode_flat_fabric(RunSnapshot{});
+  std::vector<std::uint64_t> words((blob.size() + 7) / 8);
+  std::memcpy(words.data(), blob.data(), blob.size());
+  const auto* bytes = reinterpret_cast<const unsigned char*>(words.data());
+  std::string error;
+  ASSERT_TRUE(snapv3::validate_flat_fabric(bytes, blob.size(), &error))
+      << error;
+  const FabricView view(bytes);
+  const FabricCounts counts =
+      *QueryEngine(view).execute(request_of(QueryKind::kCounts)).counts;
+  EXPECT_EQ(counts.segments, 0u);
+  EXPECT_EQ(counts.unique_abis, 0u);
+  EXPECT_EQ(counts.unique_cbis, 0u);
+  EXPECT_EQ(counts.peer_ases, 0u);
+  EXPECT_EQ(counts.peer_orgs, 0u);
+  for (const std::size_t n : counts.by_confirmation) EXPECT_EQ(n, 0u);
+  EXPECT_EQ(counts.ixp_segments, 0u);
+  EXPECT_EQ(counts.vpi_cbis, 0u);
+  for (const std::size_t n : counts.group_segments) EXPECT_EQ(n, 0u);
+  for (const std::size_t n : counts.group_ases) EXPECT_EQ(n, 0u);
+  EXPECT_EQ(counts.unattributed_segments, 0u);
+  EXPECT_EQ(counts.pinned_interfaces, 0u);
+  EXPECT_EQ(counts.regional_only, 0u);
+  EXPECT_EQ(counts.mean_confidence, 0.0);
+  EXPECT_EQ(counts.confident_segments, 0u);
 }
 
 TEST(QueryEngine, MinConfidenceMatchesBruteForce) {

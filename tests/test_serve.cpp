@@ -19,8 +19,10 @@
 #include <vector>
 
 #include "fixtures.h"
+#include "io/mapped_snapshot.h"
 #include "io/snapshot.h"
 #include "query/engine.h"
+#include "query/fabric_view.h"
 #include "query/request.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -320,11 +322,37 @@ TEST(Serve, ManyShortLivedConnectionsKeepStateBounded) {
 
 // --- hot swap under load ---------------------------------------------------
 
+// Every FabricCounts field, compared exactly.
+bool same_counts(const FabricCounts& a, const FabricCounts& b) {
+  return a.segments == b.segments && a.unique_abis == b.unique_abis &&
+         a.unique_cbis == b.unique_cbis && a.peer_ases == b.peer_ases &&
+         a.peer_orgs == b.peer_orgs &&
+         a.by_confirmation == b.by_confirmation &&
+         a.ixp_segments == b.ixp_segments && a.vpi_cbis == b.vpi_cbis &&
+         a.group_segments == b.group_segments &&
+         a.group_ases == b.group_ases &&
+         a.unattributed_segments == b.unattributed_segments &&
+         a.pinned_interfaces == b.pinned_interfaces &&
+         a.regional_only == b.regional_only &&
+         a.mean_confidence == b.mean_confidence &&
+         a.confident_segments == b.confident_segments;
+}
+
+// The counts a FabricView of its own computes over the file at `path`.
+FabricCounts counts_of_file(const std::string& path) {
+  std::string error;
+  const auto mapped = MappedSnapshot::open(path, &error);
+  EXPECT_TRUE(mapped.has_value()) << error;
+  if (!mapped) return {};
+  return FabricView(mapped->blob()).counts();
+}
+
 TEST(Serve, HotSwapUnderLoadDropsNothing) {
   // Two snapshots with different content; readers hammer the server while
   // the main thread swaps back and forth. Every reply must be internally
   // consistent with exactly one of the two snapshots — never torn, never
-  // failed. TSan (CI filter "Serve") checks the swap itself for races.
+  // failed — and a query after each swap sees the counts of the file just
+  // swapped in. TSan (CI filter "Serve") checks the swap itself for races.
   Pipeline& pipeline_a = testfx::small_pipeline();
   GeneratorConfig config = GeneratorConfig::small();
   config.seed = 43;
@@ -334,11 +362,11 @@ TEST(Serve, HotSwapUnderLoadDropsNothing) {
   const std::string path_a = write_snapshot(pipeline_a, "serve_swap_a.snap");
   const std::string path_b = write_snapshot(pipeline_b, "serve_swap_b.snap");
 
-  const std::size_t segments_a =
-      pipeline_a.run_snapshot().segments.size();
-  const std::size_t segments_b =
-      pipeline_b.run_snapshot().segments.size();
-  ASSERT_NE(segments_a, segments_b)
+  const FabricCounts counts_a = counts_of_file(path_a);
+  const FabricCounts counts_b = counts_of_file(path_b);
+  ASSERT_EQ(counts_a.segments, pipeline_a.run_snapshot().segments.size());
+  ASSERT_EQ(counts_b.segments, pipeline_b.run_snapshot().segments.size());
+  ASSERT_NE(counts_a.segments, counts_b.segments)
       << "worlds too similar to distinguish snapshots";
 
   serve::Server server({/*port=*/0, /*max_clients=*/8});
@@ -368,18 +396,31 @@ TEST(Serve, HotSwapUnderLoadDropsNothing) {
           ++failures[r];
           continue;
         }
-        // The reply must match one snapshot exactly: a torn read across a
-        // swap would show a segment count from neither.
-        const std::size_t got = response.counts->segments;
-        if (got != segments_a && got != segments_b) ++failures[r];
+        // The reply must match one snapshot's counts in every field: a
+        // torn read across a swap, or counts kept anywhere but the view
+        // that served the reply, would match neither.
+        if (!same_counts(*response.counts, counts_a) &&
+            !same_counts(*response.counts, counts_b))
+          ++failures[r];
       }
     });
   }
 
+  auto checker = serve::Client::connect("127.0.0.1", server.port(), &error);
+  ASSERT_TRUE(checker.has_value()) << error;
+  constexpr int kSwaps = 6;
   std::string swap_error;
-  for (int s = 0; s < 6; ++s) {
-    ASSERT_TRUE(server.swap(s % 2 == 0 ? path_b : path_a, &swap_error))
+  for (int s = 0; s < kSwaps; ++s) {
+    const bool to_b = s % 2 == 0;
+    ASSERT_TRUE(server.swap(to_b ? path_b : path_a, &swap_error))
         << swap_error;
+    QueryRequest request;
+    request.kind = QueryKind::kCounts;
+    QueryResponse response;
+    ASSERT_TRUE(checker->query(request, response, &error)) << error;
+    ASSERT_TRUE(response.counts.has_value());
+    EXPECT_TRUE(same_counts(*response.counts, to_b ? counts_b : counts_a))
+        << "swap " << s << " served stale counts";
   }
   for (std::thread& reader : readers) reader.join();
 
@@ -387,9 +428,10 @@ TEST(Serve, HotSwapUnderLoadDropsNothing) {
     EXPECT_EQ(failures[r], 0u) << "reader " << r;
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.swaps, 6u);
+  EXPECT_EQ(stats.swaps, static_cast<std::uint64_t>(kSwaps));
   EXPECT_EQ(stats.served,
-            static_cast<std::uint64_t>(kReaders) * kQueriesPerReader);
+            static_cast<std::uint64_t>(kReaders) * kQueriesPerReader +
+                kSwaps);
   server.stop();
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());

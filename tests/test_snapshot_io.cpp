@@ -3,11 +3,14 @@
 // diagnostic, never a crash or a silent partial load.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "fixtures.h"
 #include "io/snapshot.h"
@@ -255,6 +258,58 @@ TEST(SnapshotIo, CrcCatchesEveryPayloadByteFlip) {
         << "flip at byte " << i << " was accepted";
     EXPECT_FALSE(error.empty());
   }
+}
+
+// The CRC as a plain bytewise table loop, one lookup per byte: the oracle
+// the eight-bytes-at-a-step snapshot_crc32 must agree with everywhere.
+std::uint32_t bytewise_crc32(const unsigned char* data, std::size_t size) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i)
+    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// Deterministic filler bytes (a 64-bit LCG's high byte).
+std::vector<unsigned char> filler_bytes(std::size_t size) {
+  std::vector<unsigned char> bytes(size);
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (unsigned char& byte : bytes) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    byte = static_cast<unsigned char>(state >> 56);
+  }
+  return bytes;
+}
+
+TEST(SnapshotIo, Crc32MatchesKnownAnswersAndBytewiseLoop) {
+  // The CRC-32 check value (the zlib/PKZIP parameters), and the empty input.
+  const std::string check = "123456789";
+  EXPECT_EQ(snapshot_crc32(reinterpret_cast<const unsigned char*>(
+                               check.data()),
+                           check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(snapshot_crc32(reinterpret_cast<const unsigned char*>(
+                               check.data()),
+                           0),
+            0u);
+  // Every length up to 300 from each of 8 start offsets: every tail length
+  // behind the eight-byte steps, at every alignment.
+  const std::vector<unsigned char> small = filler_bytes(300 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t length = 0; length <= 300; ++length)
+      ASSERT_EQ(snapshot_crc32(small.data() + offset, length),
+                bytewise_crc32(small.data() + offset, length))
+          << "offset " << offset << " length " << length;
+  // One buffer of a few MB, the size of a real snapshot section.
+  const std::vector<unsigned char> big = filler_bytes((3u << 20) + 5);
+  EXPECT_EQ(snapshot_crc32(big.data(), big.size()),
+            bytewise_crc32(big.data(), big.size()));
 }
 
 TEST(SnapshotIo, RejectsTruncationAtEveryLength) {

@@ -233,8 +233,8 @@ TEST(SnapshotV3, FabricViewSegmentMatchesSnapshotFieldByField) {
     EXPECT_EQ(a.vpi, b.vpi) << i;
     EXPECT_EQ(a.confidence, b.confidence) << i;
   }
-  EXPECT_EQ(view.pin_total(), snap.pins.size());
-  EXPECT_EQ(view.regional_total(), snap.regional.size());
+  EXPECT_EQ(view.counts().pinned_interfaces, snap.pins.size());
+  EXPECT_EQ(view.counts().regional_only, snap.regional.size());
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,11 @@
 // lint: hot-path
 #include "controlplane/bgp.h"
 
+#include <algorithm>
 #include <deque>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -12,10 +16,10 @@ namespace {
 // next-hop id (deterministic tie-break).
 bool improves(const RouteEntry& current, RouteClass cls, std::uint8_t length,
               AsId next_hop) {
-  if (cls != current.route_class)
-    return static_cast<int>(cls) > static_cast<int>(current.route_class);
-  if (length != current.path_length) return length < current.path_length;
-  return next_hop.value < current.next_hop.value;
+  if (cls != current.route_class())
+    return static_cast<int>(cls) > static_cast<int>(current.route_class());
+  if (length != current.path_length()) return length < current.path_length();
+  return next_hop.value < current.next_hop().value;
 }
 
 bool is_intermittent(const Prefix& prefix, const SnapshotOptions& options) {
@@ -54,11 +58,11 @@ std::vector<RouteEntry> cloud_route_table(const World& world,
   while (!queue.empty()) {
     const AsId u = queue.front();
     queue.pop_front();
-    const RouteEntry& route = table[u.value];
+    const RouteEntry route = table[u.value];
     for (AsId customer : world.ases[u.value].customers) {
       RouteEntry& entry = table[customer.value];
       const std::uint8_t len =
-          static_cast<std::uint8_t>(route.path_length + 1);
+          static_cast<std::uint8_t>(route.path_length() + 1);
       if (improves(entry, RouteClass::kProvider, len, u)) {
         entry = RouteEntry{RouteClass::kProvider, len, u};
         queue.push_back(customer);
@@ -68,16 +72,22 @@ std::vector<RouteEntry> cloud_route_table(const World& world,
   return table;
 }
 
-// Walk next hops from `from` toward the self entry; empty on no route.
-std::vector<AsId> walk_path(const std::vector<RouteEntry>& table, AsId from) {
+// At least one provider, no peers, no customers: never a transit hop, so
+// every pure stub behind one provider set can share one table.
+bool pure_stub(const AutonomousSystem& as) {
+  return !as.providers.empty() && as.peers.empty() && as.customers.empty();
+}
+
+// Walk next hops from `from` to the table's origin; empty on no route.
+std::vector<AsId> walk_path(const RouteTable& table, AsId from) {
   std::vector<AsId> out;
   AsId current = from;
   for (int guard = 0; guard < 64; ++guard) {
-    const RouteEntry& entry = table[current.value];
-    if (!entry.has_route()) return {};
     out.push_back(current);
-    if (entry.route_class == RouteClass::kSelf) return out;
-    current = entry.next_hop;
+    if (current == table.origin()) return out;
+    const RouteEntry entry = table[current];
+    if (!entry.has_route()) return {};
+    current = entry.next_hop();
   }
   return {};
 }
@@ -85,58 +95,101 @@ std::vector<AsId> walk_path(const std::vector<RouteEntry>& table, AsId from) {
 }  // namespace
 
 BgpSimulator::BgpSimulator(const World& world)
-    : world_(&world),
-      cache_(world.ases.size()),
-      cached_(world.ases.size()) {}
-
-const std::vector<RouteEntry>& BgpSimulator::routes_to(AsId origin) const {
-  std::atomic<bool>& ready = cached_[origin.value];
-  if (!ready.load(std::memory_order_acquire)) {
-    const MutexLock lock(&fill_mutex_);
-    if (!ready.load(std::memory_order_relaxed)) {
-      cache_misses_.fetch_add(1, std::memory_order_relaxed);
-      compute(origin, cache_[origin.value]);
-      ready.store(true, std::memory_order_release);
-    } else {
-      // Another thread computed the table while we waited for the lock.
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    : world_(&world), slot_of_(world.ases.size()) {
+  const std::size_t n = world.ases.size();
+  if (n > RouteEntry::kMaxAses) {
+    throw std::length_error(
+        "BgpSimulator: " + std::to_string(n) +
+        " ASes do not fit the route next-hop field (max " +
+        std::to_string(RouteEntry::kMaxAses) + ")");
+  }
+  // Pure stubs grouped by sorted provider set; each group is one slot,
+  // seeded from its lowest-id stub. Every other AS gets a slot of its own.
+  std::vector<std::pair<std::vector<AsId>, AsId>> stubs;
+  for (std::uint32_t a = 0; a < n; ++a) {
+    if (!pure_stub(world.ases[a])) {
+      slot_of_[a] = static_cast<std::uint32_t>(slot_seed_.size());
+      slot_seed_.push_back(AsId{a});
+      continue;
     }
-    // Still under the lock: binding the return reference here keeps the
-    // guarded access visible to -Wthread-safety.
-    return cache_[origin.value];
+    std::vector<AsId> providers = world.ases[a].providers;
+    std::sort(providers.begin(), providers.end());
+    providers.erase(std::unique(providers.begin(), providers.end()),
+                    providers.end());
+    stubs.emplace_back(std::move(providers), AsId{a});
+  }
+  std::sort(stubs.begin(), stubs.end());
+  for (std::size_t i = 0; i < stubs.size(); ++i) {
+    if (i == 0 || stubs[i].first != stubs[i - 1].first)
+      slot_seed_.push_back(stubs[i].second);
+    slot_of_[stubs[i].second.value] =
+        static_cast<std::uint32_t>(slot_seed_.size() - 1);
+  }
+  cache_.resize(slot_seed_.size());
+  cached_ = std::vector<std::atomic<bool>>(slot_seed_.size());
+}
+
+RouteTable BgpSimulator::routes_to(AsId origin) const {
+  const std::uint32_t slot = slot_of_[origin.value];
+  if (!cached_[slot].load(std::memory_order_acquire)) {
+    const MutexLock lock(&fill_mutex_);
+    // Still under the lock: reading the table here keeps the guarded
+    // access visible to -Wthread-safety.
+    return RouteTable(fill(slot).data(), origin);
   }
   cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  return published_table(origin);
+  return RouteTable(published_table(slot).data(), origin);
 }
 
 void BgpSimulator::warm_routes(const std::vector<AsId>& origins) const {
   const MutexLock lock(&fill_mutex_);
   for (const AsId origin : origins) {
-    std::atomic<bool>& ready = cached_[origin.value];
-    if (ready.load(std::memory_order_relaxed)) continue;
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    compute(origin, cache_[origin.value]);
-    ready.store(true, std::memory_order_release);
+    const std::uint32_t slot = slot_of_[origin.value];
+    if (!cached_[slot].load(std::memory_order_relaxed)) fill(slot);
   }
 }
 
-void BgpSimulator::compute(AsId origin, std::vector<RouteEntry>& table) const {
-  const auto& ases = world_->ases;
-  table.assign(ases.size(), RouteEntry{});
-  table[origin.value] = RouteEntry{RouteClass::kSelf, 0, AsId{}};
+const std::vector<RouteEntry>& BgpSimulator::fill(std::uint32_t slot) const {
+  std::atomic<bool>& ready = cached_[slot];
+  if (ready.load(std::memory_order_relaxed)) {
+    // Another thread computed the table while we waited for the lock.
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    compute(slot, cache_[slot]);
+    ready.store(true, std::memory_order_release);
+  }
+  return cache_[slot];
+}
 
-  // Phase 1: customer routes climb the provider hierarchy.
-  std::deque<AsId> queue{origin};
+void BgpSimulator::compute(std::uint32_t slot,
+                           std::vector<RouteEntry>& table) const {
+  const auto& ases = world_->ases;
+  const AsId seed = slot_seed_[slot];
+  table.assign(ases.size(), RouteEntry{});
+
+  // Phase 1: customer routes climb the provider hierarchy. A shared slot
+  // starts one hop up, at the providers of its phantom origin.
+  std::deque<AsId> queue;
+  if (pure_stub(ases[seed.value])) {
+    for (AsId provider : ases[seed.value].providers) {
+      table[provider.value] = RouteEntry::phantom(RouteClass::kCustomer, 1);
+      queue.push_back(provider);
+    }
+  } else {
+    table[seed.value] = RouteEntry{RouteClass::kSelf, 0, AsId{}};
+    queue.push_back(seed);
+  }
   while (!queue.empty()) {
     const AsId u = queue.front();
     queue.pop_front();
     const RouteEntry route = table[u.value];
-    if (route.route_class != RouteClass::kSelf &&
-        route.route_class != RouteClass::kCustomer)
+    if (route.route_class() != RouteClass::kSelf &&
+        route.route_class() != RouteClass::kCustomer)
       continue;  // stale queue entry overwritten by a better class
     for (AsId provider : ases[u.value].providers) {
       const std::uint8_t len =
-          static_cast<std::uint8_t>(route.path_length + 1);
+          static_cast<std::uint8_t>(route.path_length() + 1);
       RouteEntry& entry = table[provider.value];
       if (improves(entry, RouteClass::kCustomer, len, u)) {
         entry = RouteEntry{RouteClass::kCustomer, len, u};
@@ -147,12 +200,12 @@ void BgpSimulator::compute(AsId origin, std::vector<RouteEntry>& table) const {
   // Phase 2: customer/self routes are exported to peers (one lateral hop).
   for (std::uint32_t u = 0; u < ases.size(); ++u) {
     const RouteEntry route = table[u];
-    if (route.route_class != RouteClass::kSelf &&
-        route.route_class != RouteClass::kCustomer)
+    if (route.route_class() != RouteClass::kSelf &&
+        route.route_class() != RouteClass::kCustomer)
       continue;
     for (AsId peer : ases[u].peers) {
       const std::uint8_t len =
-          static_cast<std::uint8_t>(route.path_length + 1);
+          static_cast<std::uint8_t>(route.path_length() + 1);
       RouteEntry& entry = table[peer.value];
       if (improves(entry, RouteClass::kPeer, len, AsId{u}))
         entry = RouteEntry{RouteClass::kPeer, len, AsId{u}};
@@ -167,7 +220,7 @@ void BgpSimulator::compute(AsId origin, std::vector<RouteEntry>& table) const {
     const RouteEntry route = table[u.value];
     for (AsId customer : ases[u.value].customers) {
       const std::uint8_t len =
-          static_cast<std::uint8_t>(route.path_length + 1);
+          static_cast<std::uint8_t>(route.path_length() + 1);
       RouteEntry& entry = table[customer.value];
       if (improves(entry, RouteClass::kProvider, len, u)) {
         entry = RouteEntry{RouteClass::kProvider, len, u};
@@ -182,7 +235,7 @@ std::vector<AsId> BgpSimulator::path(AsId from, AsId origin) const {
 }
 
 bool BgpSimulator::reachable(AsId from, AsId origin) const {
-  return routes_to(origin)[from.value].has_route();
+  return routes_to(origin)[from].has_route();
 }
 
 std::vector<AsId> default_collector_feeds(const World& world,
@@ -225,10 +278,10 @@ BgpSnapshot build_snapshot(const World& world, const BgpSimulator& sim,
     const AutonomousSystem& origin = world.ases[o];
     if (origin.type == AsType::kCloud) continue;
     if (origin.announced_prefixes.empty()) continue;
-    const auto& table = sim.routes_to(AsId{o});
+    const RouteTable table = sim.routes_to(AsId{o});
     bool visible = false;
     for (AsId feed : collector_feeds) {
-      if (!table[feed.value].has_route()) continue;
+      if (!table[feed].has_route()) continue;
       visible = true;
       add_path_links(walk_path(table, feed));
     }
@@ -245,15 +298,16 @@ BgpSnapshot build_snapshot(const World& world, const BgpSimulator& sim,
   for (int p = 1; p < static_cast<int>(kCloudProviderCount); ++p) {
     const CloudProvider provider = static_cast<CloudProvider>(p);
     if (world.cloud_ases[p].empty()) continue;
-    const auto table = cloud_route_table(world, provider);
+    const std::vector<RouteEntry> rows = cloud_route_table(world, provider);
+    const AsId primary = world.cloud_primary(provider);
+    const RouteTable table(rows.data(), primary);
     bool visible = false;
     for (AsId feed : collector_feeds) {
-      if (!table[feed.value].has_route()) continue;
+      if (!table[feed].has_route()) continue;
       visible = true;
       add_path_links(walk_path(table, feed));
     }
     if (!visible) continue;
-    const AsId primary = world.cloud_primary(provider);
     for (const Prefix& prefix : world.ases[primary.value].announced_prefixes)
       snapshot.origin_of.insert(prefix, world.ases[primary.value].asn);
   }

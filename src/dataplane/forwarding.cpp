@@ -33,10 +33,14 @@ Forwarder::Forwarder(const World& world, const BgpSimulator& sim)
     iface_by_ip_.insert(address, iface);
   iface_by_ip_.freeze();
   // Announced-prefix origin table (the BGP ground truth; collector snapshots
-  // are a filtered view of this).
-  for (const AutonomousSystem& as : world.ases)
+  // are a filtered view of this), resolved to the origin's AsId once here
+  // rather than per path.
+  for (const AutonomousSystem& as : world.ases) {
+    const auto it = world.as_by_asn.find(as.asn.value);
+    const AsId origin = it == world.as_by_asn.end() ? AsId{} : it->second;
     for (const Prefix& prefix : as.announced_prefixes)
-      announced_origin_.insert(prefix, as.asn);
+      announced_origin_.insert(prefix, origin);
+  }
   announced_origin_.freeze();
 
   // Cloud FIBs: per-interconnect announcements plus exact /32 routes for
@@ -234,11 +238,10 @@ PathOutcome Forwarder::walk_client_side(RouterId entry, Ipv4 dst,
                                         std::vector<ForwardHop>& hops) const {
   // Destination interface (if the target is an interface address) takes
   // priority over the hosting-prefix router.
-  const Asn* origin_asn = announced_origin_.lookup(dst);
+  const AsId* announced = announced_origin_.lookup(dst);
   AsId origin{};
-  if (origin_asn != nullptr) {
-    const auto it = world_->as_by_asn.find(origin_asn->value);
-    if (it != world_->as_by_asn.end()) origin = it->second;
+  if (announced != nullptr) {
+    origin = *announced;
   } else if (dst_iface.valid()) {
     // Unannounced interconnect space: deliverable only when the walk is
     // already inside the owning AS (no BGP route exists toward it).
@@ -252,13 +255,13 @@ PathOutcome Forwarder::walk_client_side(RouterId entry, Ipv4 dst,
   AsId current_as = world_->router_owner(entry);
   int guard = 0;
   // One cache probe for the whole walk: the published table is immutable,
-  // so every AS hop reads the same vector.
-  const std::vector<RouteEntry>& table = sim_->routes_to(origin);
+  // so every AS hop reads the same view.
+  const RouteTable table = sim_->routes_to(origin);
   while (current_as != origin) {
     if (++guard > 32) return PathOutcome::kNoRoute;
-    const RouteEntry& route = table[current_as.value];
+    const RouteEntry route = table[current_as];
     if (!route.has_route()) return PathOutcome::kNoRoute;
-    const AsId next = route.next_hop;
+    const AsId next = route.next_hop();
     const auto link = inter_as_link(current_as, next);
     if (!link) return PathOutcome::kNoRoute;
     // Exit router of the current AS on that link.
@@ -328,12 +331,8 @@ void Forwarder::path_into(const VantagePoint& vp, Ipv4 dst, ForwardPath& out,
     if (entry != nullptr && !entry->egress.empty()) {
       // Prefer a direct route to the destination's origin AS over transit
       // re-announcements of the same prefix, then hot-potato.
-      AsId direct_origin{};
-      const Asn* origin_asn = announced_origin_.lookup(dst);
-      if (origin_asn != nullptr) {
-        const auto as_it = world_->as_by_asn.find(origin_asn->value);
-        if (as_it != world_->as_by_asn.end()) direct_origin = as_it->second;
-      }
+      const AsId* announced = announced_origin_.lookup(dst);
+      const AsId direct_origin = announced == nullptr ? AsId{} : *announced;
       const LinkId egress =
           choose_egress(vp.region, entry->egress, flow, direct_origin);
       const Link& l = world_->link(egress);

@@ -122,7 +122,9 @@ class Forwarder {
   const World* world_;
   const BgpSimulator* sim_;
   FlatPrefixTrie<FibEntry> cloud_fib_[kCloudProviderCount];
-  FlatPrefixTrie<Asn> announced_origin_;  // all announced prefixes → origin
+  // All announced prefixes → origin AsId (invalid when the origin's ASN is
+  // missing from World::as_by_asn).
+  FlatPrefixTrie<AsId> announced_origin_;
   FlatHashMap<std::uint64_t, LinkId> intra_links_;
   FlatHashMap<std::uint64_t, LinkId> inter_as_links_;
   // World::find_interface re-indexed into the flat probe table (built once,

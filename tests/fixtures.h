@@ -44,16 +44,18 @@ inline Pipeline& small_pipeline() {
 
 // The small pipeline's snapshot, saved and parsed in place from an 8-aligned
 // buffer: the same blob a serve daemon maps from the file, held in memory so
-// concurrently running test processes share no scratch file.
+// concurrently running test processes share no scratch file. The buffer is a
+// function-local static, so it stays reachable as long as the view into it.
 inline const FabricView& small_view() {
+  static std::vector<std::uint64_t> words;
   static const FabricView* view = [] {
     std::ostringstream out;
     save_snapshot(out, small_pipeline().run_snapshot());
     const std::string bytes = out.str();
-    auto* words = new std::vector<std::uint64_t>((bytes.size() + 7) / 8);
-    std::memcpy(words->data(), bytes.data(), bytes.size());
+    words.resize((bytes.size() + 7) / 8);
+    std::memcpy(words.data(), bytes.data(), bytes.size());
     const auto file = parse_snapshot(
-        reinterpret_cast<const unsigned char*>(words->data()), bytes.size());
+        reinterpret_cast<const unsigned char*>(words.data()), bytes.size());
     return new FabricView(file->blob);
   }();
   return *view;

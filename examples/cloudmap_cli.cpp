@@ -1,11 +1,13 @@
 // cloudmap_cli — an operator-style command-line front end that separates
-// collection from analysis, the way a real multi-day campaign works:
+// collection from analysis, the way a real multi-day campaign works: a run
+// leaves the process as a binary snapshot (or as shard part files), and
+// every later question is answered from that file.
 //
 //   cloudmap_cli worldgen [seed]          summarize the synthetic world
-//   cloudmap_cli campaign [seed] [file]   run both rounds, save the fabric
-//   cloudmap_cli analyze  [seed] [file]   load a saved fabric and report
-//   cloudmap_cli all      [seed]          everything in one process
 //   cloudmap_cli snapshot [seed] [file]   full pipeline → binary snapshot
+//                                         (default file cloudmap.snap)
+//   cloudmap_cli all      [seed] [file]   worldgen, snapshot, then
+//                                         query FILE counts
 //   cloudmap_cli query FILE ACTION [ARG]  serve queries from a snapshot
 //                                         (counts | peers [asn] | metro N |
 //                                          vpis | lookup IP | confidence |
@@ -15,12 +17,12 @@
 //                                         running cloudmap_serve daemon,
 //                                         plus swap PATH | stats | ping |
 //                                         stop
-//   cloudmap_cli campaign SEED PREFIX --shard I/N [--shard-round R]
-//                                         run only shard I of an N-way
-//                                         campaign round, streaming its
-//                                         share of the sweep to
-//                                         PREFIX.r<R>.s<I>of<N>.part (round
-//                                         2 needs all round-1 parts)
+//   cloudmap_cli campaign SEED PREFIX [--shard I/N] [--shard-round R]
+//                                         run only shard I (default 0/1) of
+//                                         an N-way campaign round,
+//                                         streaming its share of the sweep
+//                                         to PREFIX.r<R>.s<I>of<N>.part
+//                                         (round 2 needs all round-1 parts)
 //   cloudmap_cli merge-shards SEED PREFIX N OUT.snap
 //                                         absorb every shard's parts, run
 //                                         the remaining stages, write the
@@ -42,14 +44,12 @@
 //   --threads N          campaign worker count (0 = one per hardware thread,
 //                        the default; results are identical for every value)
 //   --metrics-json PATH  write the per-stage metrics artifact after the run
-//                        (campaign/all run the FULL pipeline — VPI detection
-//                        and pinning included — so the artifact covers every
-//                        stage; the saved fabric is unaffected). For `query`
-//                        the stage section comes from the snapshot and the
+//                        (snapshot/all/merge-shards run every stage — VPI
+//                        detection and pinning included). For `query` the
+//                        stage section comes from the snapshot and the
 //                        counters section carries the query.* counters.
 //   --metrics-csv PATH   same accounting as flat stage,metric,value rows
 //   --no-metrics         disable metrics collection entirely
-//   --snapshot PATH      also write the binary run snapshot (campaign/all)
 //   --retry-budget N     re-probe failed targets up to N times (default 0)
 //   --retry-backoff T    base backoff in simulated probe ticks (default 64)
 //   --response-scale X   scale router response probabilities by X in [0,1]
@@ -63,10 +63,10 @@
 //                        campaign; churn profiles only take effect under
 //                        `hazards score` (they emit world sequences)
 //   --shard I/N          campaign only: run shard I of an N-way campaign
-//                        (0 <= I < N; N = 1 still writes a part file)
-//   --shard-round R      which round a --shard invocation executes (1 or 2)
-//   CLOUDMAP_THREADS / CLOUDMAP_METRICS_JSON / CLOUDMAP_SNAPSHOT /
-//   CLOUDMAP_RETRY_BUDGET / CLOUDMAP_DETERMINISTIC_METRICS env equivalents
+//                        (0 <= I < N; default 0/1)
+//   --shard-round R      which round a campaign invocation executes (1 or 2)
+//   CLOUDMAP_THREADS / CLOUDMAP_METRICS_JSON / CLOUDMAP_RETRY_BUDGET /
+//   CLOUDMAP_DETERMINISTIC_METRICS env equivalents
 //
 // With no arguments it runs `all 7`.
 #include <cstdio>
@@ -79,11 +79,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/graph.h"
-#include "analysis/grouping.h"
 #include "core/options.h"
 #include "core/pipeline.h"
-#include "io/serialize.h"
 #include "io/shard.h"
 #include "io/snapshot.h"
 #include "obs/emit.h"
@@ -183,9 +180,9 @@ std::string shard_campaign_key(std::uint64_t seed,
 // one round's canonical work items and stream the results to
 // PREFIX.r<round>.s<i>of<n>.part. Round 2 first absorbs the merged round-1
 // parts (identically in every shard), because its expansion targets derive
-// from the round-1 fabric.
-int cmd_campaign_shard(std::uint64_t seed, const std::string& prefix,
-                       const FrontendOptions& front) {
+// from the round-1 fabric. Without --shard this is shard 0 of 1.
+int cmd_campaign(std::uint64_t seed, const std::string& prefix,
+                 const FrontendOptions& front) {
   const World world = make_world(seed, front.hazard_profile);
   Pipeline pipeline(world, front.pipeline);
   Campaign& campaign = pipeline.mutable_campaign();
@@ -338,81 +335,8 @@ int cmd_merge_shards(const std::vector<std::string>& args,
   return emit_metrics(pipeline, front);
 }
 
-int cmd_campaign(std::uint64_t seed, const std::string& path,
-                 const FrontendOptions& front) {
-  if (front.shard_requested)
-    return cmd_campaign_shard(seed, path, front);
-  const World world = make_world(seed, front.hazard_profile);
-  Pipeline pipeline(world, front.pipeline);
-  if (front.metrics_json.empty() && front.metrics_csv.empty()) {
-    pipeline.run_until(StageId::kAliasVerification);  // rounds + §5
-  } else {
-    // A metrics artifact was requested: run every stage so the report
-    // covers the whole pipeline. VPI detection and pinning never modify
-    // the fabric, so the file written below is byte-identical either way.
-    pipeline.run_all();
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  write_fabric(out, pipeline.campaign().fabric());
-  std::printf("campaign done: %zu segments saved to %s\n",
-              pipeline.campaign().fabric().segments().size(), path.c_str());
-  std::printf("  round1 left-cloud %.1f%%, %llu traceroutes\n",
-              100.0 * pipeline.round1().left_cloud_fraction(),
-              static_cast<unsigned long long>(pipeline.round1().traceroutes));
-  if (!front.snapshot_out.empty()) {
-    // The snapshot needs every stage; run_snapshot() runs the rest.
-    const RunSnapshot& snap = pipeline.run_snapshot();
-    std::string error;
-    if (!save_snapshot_file(front.snapshot_out, snap, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    std::printf("snapshot: wrote %s (%zu segments)\n",
-                front.snapshot_out.c_str(), snap.segments.size());
-  }
-  return emit_metrics(pipeline, front);
-}
-
-int cmd_analyze(std::uint64_t seed, const std::string& path,
-                const FrontendOptions& front) {
-  const World world = make_world(seed, front.hazard_profile);
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s (run `campaign` first)\n",
-                 path.c_str());
-    return 1;
-  }
-  const Fabric fabric = read_fabric(in);
-  std::printf("loaded fabric: %zu segments, %zu ABIs, %zu CBIs\n",
-              fabric.segments().size(), fabric.unique_abis().size(),
-              fabric.unique_cbis().size());
-
-  // Datasets rebuild deterministically from the same seed, so offline
-  // analysis matches the collection run.
-  Pipeline pipeline(world, front.pipeline);
-  Annotator annotator = pipeline.annotator();
-  annotator.set_snapshot(&pipeline.snapshot_round2());
-  PeeringClassifier classifier(&annotator, &pipeline.snapshot_round2(),
-                               pipeline.subject_asns(), nullptr);
-  const GroupBreakdown groups = breakdown(fabric, classifier);
-  std::printf("peer ASes: %zu (public %zu, private non-BGP %zu, "
-              "private BGP %zu)\n",
-              groups.total_ases, groups.pb.ases.size(),
-              groups.pr_nb.ases.size(), groups.pr_b.ases.size());
-  const IcgStats icg = icg_stats(fabric);
-  std::printf("ICG: %zu nodes, %zu edges, largest component %.1f%%\n",
-              icg.abi_nodes + icg.cbi_nodes, icg.edges,
-              100.0 * icg.largest_component_fraction);
-  return 0;
-}
-
 // Full pipeline → binary snapshot (io/snapshot.h). The snapshot is the
-// queryable artifact: everything `analyze` recomputes from the seed is
-// stored, so `query` below never needs the world.
+// queryable artifact: `query` below never needs the world.
 int cmd_snapshot(std::uint64_t seed, const std::string& path,
                  const FrontendOptions& front) {
   const World world = make_world(seed, front.hazard_profile);
@@ -921,7 +845,7 @@ int main(int argc, char** argv) {
   const std::string command = !args.empty() ? args[0] : "all";
   const std::uint64_t seed =
       args.size() > 1 ? std::strtoull(args[1].c_str(), nullptr, 10) : 7;
-  const std::string path = args.size() > 2 ? args[2] : "cloudmap_fabric.txt";
+  const std::string path = args.size() > 2 ? args[2] : "cloudmap.snap";
 
   if (command == "hazards") return cmd_hazards(args, front);
   if (!front.hazard_profile.empty()) {
@@ -938,34 +862,37 @@ int main(int argc, char** argv) {
   }
 
   if (command == "worldgen") return cmd_worldgen(seed, front);
-  if (command == "campaign") return cmd_campaign(seed, path, front);
-  if (command == "merge-shards") return cmd_merge_shards(args, front);
-  if (command == "analyze") return cmd_analyze(seed, path, front);
-  if (command == "snapshot") {
-    const std::string snap_path = args.size() > 2 ? args[2] : "cloudmap.snap";
-    return cmd_snapshot(seed, snap_path, front);
+  if (command == "campaign") {
+    if (args.size() < 3) {
+      std::fprintf(stderr, "usage: campaign SEED PREFIX [--shard I/N] "
+                           "[--shard-round R]\n");
+      return 2;
+    }
+    return cmd_campaign(seed, path, front);
   }
+  if (command == "merge-shards") return cmd_merge_shards(args, front);
+  if (command == "snapshot") return cmd_snapshot(seed, path, front);
   if (command == "query") return cmd_query(args, front);
   if (command == "remote") return cmd_remote(args, front);
   if (command == "diff") return cmd_diff(args);
   if (command == "all") {
     if (const int rc = cmd_worldgen(seed, front)) return rc;
-    if (const int rc = cmd_campaign(seed, path, front)) return rc;
-    // The campaign pipeline already wrote the metrics artifact; analysis
-    // reloads the fabric without re-running stages.
-    FrontendOptions analyze_front = front;
-    analyze_front.metrics_json.clear();
-    analyze_front.metrics_csv.clear();
-    return cmd_analyze(seed, path, analyze_front);
+    if (const int rc = cmd_snapshot(seed, path, front)) return rc;
+    // The snapshot run already wrote the metrics artifacts; the query reads
+    // the file back without re-running any stage.
+    FrontendOptions query_front = front;
+    query_front.metrics_json.clear();
+    query_front.metrics_csv.clear();
+    return cmd_query({"query", path, "counts"}, query_front);
   }
   std::fprintf(stderr,
-               "usage: %s [worldgen|campaign|analyze|all|snapshot] [seed] "
-               "[file] | %s query FILE ACTION [ARG] | %s remote HOST:PORT "
-               "ACTION [ARG] | merge-shards SEED PREFIX N OUT.snap | "
-               "diff A B | hazards list|describe P|score "
+               "usage: %s [worldgen|snapshot|all] [seed] [file] | "
+               "%s query FILE ACTION [ARG] | %s remote HOST:PORT ACTION "
+               "[ARG] | campaign SEED PREFIX | merge-shards SEED PREFIX N "
+               "OUT.snap | diff A B | hazards list|describe P|score "
                "[--threads N] [--metrics-json PATH] [--metrics-csv PATH] "
-               "[--no-metrics] [--snapshot PATH] [--retry-budget N] "
-               "[--retry-backoff T] [--response-scale X] [--host-response X] "
+               "[--no-metrics] [--retry-budget N] [--retry-backoff T] "
+               "[--response-scale X] [--host-response X] "
                "[--deterministic-metrics] [--min-confidence X] "
                "[--hazard-profile P] [--shard I/N] [--shard-round R]\n",
                argv[0], argv[0], argv[0]);

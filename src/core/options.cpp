@@ -50,9 +50,6 @@ FrontendOptions options_from_env() {
           "CLOUDMAP_METRICS_JSON"))
     out.metrics_json = env;
   if (const char* env = std::getenv(  // NOLINT(concurrency-mt-unsafe) -- startup, pre-thread
-          "CLOUDMAP_SNAPSHOT"))
-    out.snapshot_out = env;
-  if (const char* env = std::getenv(  // NOLINT(concurrency-mt-unsafe) -- startup, pre-thread
           "CLOUDMAP_RETRY_BUDGET")) {
     const int budget = parse_threads(env);
     if (budget < 0) {
@@ -112,8 +109,6 @@ FrontendOptions options_from_env_and_args(int argc, char** argv) {
     } else if (arg == "--metrics-csv") {
       if (!flag_value(i, "--metrics-csv", out.metrics_csv)) return out;
       out.pipeline.metrics = true;
-    } else if (arg == "--snapshot") {
-      if (!flag_value(i, "--snapshot", out.snapshot_out)) return out;
     } else if (arg == "--retry-budget") {
       std::string value;
       if (!flag_value(i, "--retry-budget", value)) return out;
@@ -199,7 +194,6 @@ FrontendOptions options_from_env_and_args(int argc, char** argv) {
       }
       out.pipeline.campaign.shard_index = index;
       out.pipeline.campaign.shard_count = count;
-      out.shard_requested = true;
     } else if (arg == "--shard-round") {
       std::string value;
       if (!flag_value(i, "--shard-round", value)) return out;

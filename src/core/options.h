@@ -20,22 +20,14 @@ struct FrontendOptions {
   // --metrics-csv or the CLOUDMAP_METRICS_JSON environment variable.
   std::string metrics_json;
   std::string metrics_csv;
-  // Binary run-snapshot path ("" = do not write). From --snapshot or the
-  // CLOUDMAP_SNAPSHOT environment variable; the full pipeline runs so the
-  // snapshot captures every stage (see io/snapshot.h).
-  std::string snapshot_out;
   // Minimum segment confidence for query front-ends (--min-confidence).
   // Negative = unset: callers apply no filter.
   double min_confidence = -1.0;
-  // Sharded campaign round selector (--shard-round, only meaningful with
-  // --shard I/N): which round this shard invocation executes. Round 2
-  // requires every shard's round-1 part (it absorbs the merged round-1
-  // fabric before probing its own round-2 share).
+  // Sharded campaign round selector (--shard-round): which round a shard
+  // invocation executes. Round 2 requires every shard's round-1 part (it
+  // absorbs the merged round-1 fabric before probing its own round-2
+  // share).
   int shard_round = 1;
-  // Set when --shard was given explicitly, so front-ends can distinguish a
-  // requested 1-shard run (--shard 0/1, which still writes a part file for
-  // merge-shards) from the unsharded default.
-  bool shard_requested = false;
   // Adversarial hazard profile (--hazard-profile NAME|SPEC, or the
   // CLOUDMAP_HAZARD_PROFILE environment variable). Accepts a preset name
   // (`cloudmap_cli hazards list`) or a spec like "loss:0.2,remote:0.5".
@@ -52,19 +44,19 @@ struct FrontendOptions {
 };
 
 // Environment-only parsing: CLOUDMAP_THREADS (campaign + VPI worker count,
-// 0 = hardware concurrency), CLOUDMAP_METRICS_JSON and CLOUDMAP_SNAPSHOT
-// (artifact paths), CLOUDMAP_RETRY_BUDGET (re-probe attempts per failed
-// target), CLOUDMAP_DETERMINISTIC_METRICS (non-empty and not "0" = zero
-// wall-clock metrics fields for byte-identical artifacts).
+// 0 = hardware concurrency), CLOUDMAP_METRICS_JSON (artifact path),
+// CLOUDMAP_RETRY_BUDGET (re-probe attempts per failed target),
+// CLOUDMAP_DETERMINISTIC_METRICS (non-empty and not "0" = zero wall-clock
+// metrics fields for byte-identical artifacts), CLOUDMAP_HAZARD_PROFILE.
 FrontendOptions options_from_env();
 
 // Environment first, then flags: --threads N, --metrics-json PATH,
-// --metrics-csv PATH, --no-metrics, --snapshot PATH, --retry-budget N,
-// --retry-backoff TICKS, --response-scale X, --host-response X,
-// --deterministic-metrics, --min-confidence X, --hazard-profile NAME|SPEC,
-// --shard I/N (run only shard I of an N-way campaign; 0 <= I < N),
-// --shard-round R (which round a --shard invocation executes; 1 or 2).
-// Everything else lands in `positional`.
+// --metrics-csv PATH, --no-metrics, --retry-budget N, --retry-backoff TICKS,
+// --response-scale X, --host-response X, --deterministic-metrics,
+// --min-confidence X, --hazard-profile NAME|SPEC, --shard I/N (run only
+// shard I of an N-way campaign; 0 <= I < N, default 0/1), --shard-round R
+// (which round a shard invocation executes; 1 or 2). Everything else lands
+// in `positional`.
 FrontendOptions options_from_env_and_args(int argc, char** argv);
 
 // Knobs for the snapshot-serving daemon (examples/cloudmap_serve.cpp,

@@ -3,11 +3,22 @@
 #include <chrono>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "infer/confidence.h"
 #include "obs/emit.h"
 
 namespace cloudmap {
+
+namespace {
+
+// The clouds whose sweeps §7.1 intersects with the subject's CBIs, probed
+// in Table 4's order.
+const std::vector<CloudProvider> kForeignClouds = {
+    CloudProvider::kMicrosoft, CloudProvider::kGoogle, CloudProvider::kIbm,
+    CloudProvider::kOracle};
+
+}  // namespace
 
 Pipeline::Pipeline(const World& world, PipelineOptions options)
     : world_(&world),
@@ -217,7 +228,7 @@ void Pipeline::stage_vpis(StageReport& report) {
   VpiDetector detector(*world_, *forwarder_, annotator_, options_.seed + 31,
                        options_.campaign.threads);
   detector.set_metrics(&metrics_);
-  vpis_ = detector.detect(*campaign_, options_.foreign_clouds);
+  vpis_ = detector.detect(*campaign_, kForeignClouds);
   const VpiDetector::Telemetry& telemetry = detector.telemetry();
   report.traceroutes = telemetry.traceroutes;
   report.probes = telemetry.probes;

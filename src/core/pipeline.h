@@ -55,9 +55,6 @@ struct PipelineOptions {
   SnapshotOptions snapshot;
   DnsOptions dns;
   PeeringDbOptions peeringdb;
-  std::vector<CloudProvider> foreign_clouds = {
-      CloudProvider::kMicrosoft, CloudProvider::kGoogle, CloudProvider::kIbm,
-      CloudProvider::kOracle};
   // Collect per-stage metrics (wall clocks, registry counters, pool stats).
   // Purely observational: inference outputs are identical either way.
   bool metrics = true;

@@ -50,6 +50,10 @@ struct InferredSegment {
   // cloud-provided address, the peer AS is taken from the downstream hop or
   // the alias-set majority instead of the CBI's own annotation.
   Asn owner_hint;
+
+  // Every field, the confidence evidence included; the identity tests hold
+  // fabrics equal with it across thread counts and retry budgets.
+  bool operator==(const InferredSegment&) const = default;
 };
 
 class Fabric {

@@ -34,7 +34,7 @@ std::vector<Ipv4> VpiDetector::target_pool(const Campaign& campaign,
 
 VpiDetectionResult VpiDetector::detect(
     const Campaign& subject_campaign,
-    const std::vector<CloudProvider>& foreign_clouds) {
+    const std::vector<CloudProvider>& clouds) {
   VpiDetectionResult result;
 
   // Subject's non-IXP CBI set (the candidate VPI endpoints).
@@ -51,7 +51,7 @@ VpiDetectionResult VpiDetector::detect(
   telemetry_ = Telemetry{};
   std::unordered_set<std::uint32_t> cumulative;
   std::uint64_t seed = seed_;
-  for (const CloudProvider provider : foreign_clouds) {
+  for (const CloudProvider provider : clouds) {
     CampaignConfig config;
     config.seed = ++seed;
     config.threads = threads_;

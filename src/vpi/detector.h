@@ -40,10 +40,10 @@ class VpiDetector {
               const Annotator& annotator, std::uint64_t seed = 31,
               int threads = 0);
 
-  // `subject_campaign` must have completed its rounds. `foreign_clouds` are
-  // probed in order (Table 4 reads Microsoft, Google, IBM, Oracle).
+  // `subject_campaign` must have completed its rounds. `clouds` are probed
+  // in order (Table 4 reads Microsoft, Google, IBM, Oracle).
   VpiDetectionResult detect(const Campaign& subject_campaign,
-                            const std::vector<CloudProvider>& foreign_clouds);
+                            const std::vector<CloudProvider>& clouds);
 
   // The §7.1 target pool for a finished campaign (exposed for tests).
   static std::vector<Ipv4> target_pool(const Campaign& campaign,

@@ -80,6 +80,25 @@ inline Pipeline& paper_pipeline() {
   return *pipeline;
 }
 
+// --- fabric identity ---------------------------------------------------------
+
+// Two fabrics' segments equal field by field and in order (InferredSegment's
+// operator==, confidence evidence included); a failure names the first
+// segment that differs.
+inline ::testing::AssertionResult same_segments(
+    const std::vector<InferredSegment>& a,
+    const std::vector<InferredSegment>& b) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure()
+           << a.size() << " segments vs " << b.size();
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!(a[i] == b[i]))
+      return ::testing::AssertionFailure()
+             << "segment " << i << " (" << a[i].abi.to_string() << " > "
+             << a[i].cbi.to_string() << ") differs";
+  return ::testing::AssertionSuccess();
+}
+
 // --- snapshot forgeries ------------------------------------------------------
 
 // Re-stamp the CRC of section-table entry `entry` over its (possibly forged)

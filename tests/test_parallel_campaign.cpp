@@ -1,19 +1,19 @@
 // Determinism of the multi-threaded campaign: the same seed must produce a
-// bit-identical fabric, identical round stats, identical Table-1 rows, and
-// an identical inference score at every thread count. Run under TSan, these
-// tests also exercise the concurrent traceroute fan-out (threads = 4 and 8)
-// over the shared const read path.
+// fabric equal in every segment field, identical round stats, identical
+// Table-1 rows, and an identical inference score at every thread count. Run
+// under TSan, these tests also exercise the concurrent traceroute fan-out
+// (threads = 4 and 8) over the shared const read path.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "fixtures.h"
-#include "io/serialize.h"
 
 namespace cloudmap {
 namespace {
 
+using testfx::same_segments;
 using testfx::small_world;
 
 // Everything we demand be invariant across thread counts.
@@ -23,7 +23,7 @@ struct CampaignRun {
   InterfaceTableRow table1_round1;  // Table-1 row after round 1 (snapshot 1)
   InterfaceTableRow table1_round2;  // Table-1 row after round 2 (snapshot 2)
   InferenceScore score;
-  std::string fabric_text;  // serialized fabric, segment order and all
+  std::vector<InferredSegment> segments;  // every field, in fabric order
   std::size_t peer_asns = 0;
 };
 
@@ -48,9 +48,7 @@ CampaignRun run_with_threads(int threads, bool metrics = true) {
   run.peer_asns = pipeline.campaign().peer_asn_count(annotator2);
 
   run.score = pipeline.score();
-  std::ostringstream fabric_out;
-  write_fabric(fabric_out, pipeline.campaign().fabric());
-  run.fabric_text = fabric_out.str();
+  run.segments = pipeline.campaign().fabric().segments();
   return run;
 }
 
@@ -78,7 +76,7 @@ void expect_same_row(const InterfaceTableRow& a, const InterfaceTableRow& b) {
 TEST(ParallelCampaign, ThreadCountNeverChangesTheResults) {
   const CampaignRun baseline = run_with_threads(1);
   ASSERT_GT(baseline.round1.traceroutes, 0u);
-  ASSERT_FALSE(baseline.fabric_text.empty());
+  ASSERT_FALSE(baseline.segments.empty());
 
   for (const int threads : {2, 8}) {
     SCOPED_TRACE("threads = " + std::to_string(threads));
@@ -100,7 +98,7 @@ TEST(ParallelCampaign, ThreadCountNeverChangesTheResults) {
     EXPECT_EQ(run.score.inferred_client_router_cbis,
               baseline.score.inferred_client_router_cbis);
 
-    EXPECT_EQ(run.fabric_text, baseline.fabric_text);
+    EXPECT_TRUE(same_segments(run.segments, baseline.segments));
   }
 }
 
@@ -111,7 +109,7 @@ TEST(ParallelCampaign, ThreadCountNeverChangesTheResults) {
 TEST(ParallelCampaign, MetricsOnOffNeverChangesTheResults) {
   const CampaignRun baseline = run_with_threads(1, /*metrics=*/true);
   ASSERT_GT(baseline.round1.traceroutes, 0u);
-  ASSERT_FALSE(baseline.fabric_text.empty());
+  ASSERT_FALSE(baseline.segments.empty());
 
   struct Variant {
     int threads;
@@ -130,7 +128,7 @@ TEST(ParallelCampaign, MetricsOnOffNeverChangesTheResults) {
     EXPECT_EQ(run.score.discovered, baseline.score.discovered);
     EXPECT_EQ(run.score.inferred_cbis, baseline.score.inferred_cbis);
     EXPECT_EQ(run.score.inferred_true_cbis, baseline.score.inferred_true_cbis);
-    EXPECT_EQ(run.fabric_text, baseline.fabric_text);
+    EXPECT_TRUE(same_segments(run.segments, baseline.segments));
   }
 }
 
@@ -154,7 +152,7 @@ TEST(ParallelCampaign, RunTargetsIsThreadCountInvariant) {
   for (const Prefix& prefix : small_world().probeable_slash24s())
     targets.push_back(prefix.network().next(7));
 
-  std::string baseline;
+  std::vector<InferredSegment> baseline;
   for (const int threads : {1, 4}) {
     PipelineOptions options;
     options.campaign.threads = threads;
@@ -162,13 +160,11 @@ TEST(ParallelCampaign, RunTargetsIsThreadCountInvariant) {
     Campaign campaign(small_world(), pipeline.forwarder(),
                       CloudProvider::kAmazon, options.campaign);
     campaign.run_targets(pipeline.annotator(), targets, /*round=*/1);
-    std::ostringstream out;
-    write_fabric(out, campaign.fabric());
     if (threads == 1) {
-      baseline = out.str();
+      baseline = campaign.fabric().segments();
       EXPECT_FALSE(baseline.empty());
     } else {
-      EXPECT_EQ(out.str(), baseline);
+      EXPECT_TRUE(same_segments(campaign.fabric().segments(), baseline));
     }
   }
 }

@@ -1,14 +1,15 @@
 // The serve daemon end to end (src/serve/): the frame codec round-trips and
-// rejects every single-byte corruption (the same sweep contract as
-// tests/test_serialize_corrupt.cpp and the snapshot container), the payload
-// codecs are lossless for every QueryResponse shape, a loopback server
-// answers each query class identically to a local engine, refuses clients
-// past max_clients, and — the RCU claim — hot-swaps snapshots under
+// rejects every single-byte corruption (the same sweep contract as the
+// snapshot container), the payload codecs are lossless for every
+// QueryResponse shape, a loopback server answers each query class
+// identically to a local engine, refuses clients past max_clients, frees a
+// closed client's slot, and — the RCU claim — hot-swaps snapshots under
 // concurrent load with zero dropped or torn queries. Suite name matches the
 // CI TSan filter, so the reader/swapper races here run under the sanitizer.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -305,11 +306,22 @@ TEST(Serve, ManyShortLivedConnectionsKeepStateBounded) {
   ASSERT_TRUE(server.start(path, &error)) << error;
 
   for (int i = 0; i < kConnections; ++i) {
-    auto client = serve::Client::connect("127.0.0.1", server.port(), &error);
-    ASSERT_TRUE(client.has_value()) << error << " connection " << i;
-    ASSERT_TRUE(client->ping(&error)) << error << " connection " << i;
-    // client destructor closes the connection; the serving thread finishes
-    // and its slot becomes reusable.
+    {
+      auto client =
+          serve::Client::connect("127.0.0.1", server.port(), &error);
+      ASSERT_TRUE(client.has_value()) << error << " connection " << i;
+      ASSERT_TRUE(client->ping(&error)) << error << " connection " << i;
+    }  // the client destructor closes the connection
+    // The slot is freed once the serving thread has seen the close, which
+    // under load can lag the close itself: wait for it, within a deadline,
+    // before connecting again.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.stats().clients != 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(server.stats().clients, 0u)
+        << "connection " << i << " still holds its slot after closing";
   }
 
   EXPECT_LE(server.client_slots(), static_cast<std::size_t>(kMaxClients))

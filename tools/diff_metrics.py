@@ -7,8 +7,8 @@ Prints a side-by-side table of every per-stage numeric field in either
 artifact, with the relative change. Typical use is comparing the same
 workload across thread counts:
 
-    CLOUDMAP_THREADS=1 cloudmap_cli campaign 42 /tmp/f.txt --metrics-json t1.json
-    CLOUDMAP_THREADS=4 cloudmap_cli campaign 42 /tmp/f.txt --metrics-json t4.json
+    cloudmap_cli snapshot 42 t1.snap --threads 1 --metrics-json t1.json
+    cloudmap_cli snapshot 42 t4.snap --threads 4 --metrics-json t4.json
     tools/diff_metrics.py t1.json t4.json --label-a 1-thread --label-b 4-thread
 
 Structural fields (targets, traceroutes, probes, bgp_cache_misses) must be

@@ -843,6 +843,17 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::string>& args = front.positional;
   const std::string command = !args.empty() ? args[0] : "all";
+  // The shared parser passes unknown flags through as operands. Only
+  // `hazards score` reads flags of its own (--json, --out-dir); for every
+  // other command such an operand is a mistake, not a file name.
+  if (command != "hazards") {
+    for (const std::string& arg : args) {
+      if (arg.starts_with("--")) {
+        std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
+        return 2;
+      }
+    }
+  }
   const std::uint64_t seed =
       args.size() > 1 ? std::strtoull(args[1].c_str(), nullptr, 10) : 7;
   const std::string path = args.size() > 2 ? args[2] : "cloudmap.snap";

@@ -10,7 +10,7 @@
 //
 // With --port 0 (the default) the kernel picks a free port; the daemon
 // prints `listening on 127.0.0.1:PORT` once ready, so scripts can scrape
-// the port from the first output line (see the serve-smoke CI job). Talk to
+// the port from the first output line (see tests/serve_smoke.py). Talk to
 // it with `cloudmap_cli remote 127.0.0.1:PORT counts` and friends.
 //
 // Environment equivalents: CLOUDMAP_SERVE_SNAPSHOT, CLOUDMAP_SERVE_PORT,

@@ -3,7 +3,8 @@
 // (world_t0.snap ... world_tN.snap), and replay `cloudmap_cli diff` over
 // consecutive editions to check the planted turnover events are
 // reconstructed from the maps alone. Exits nonzero when any observable
-// event fails to reconstruct — CI runs this as the churn acceptance gate.
+// event fails to reconstruct — the HazardMatrix ctest runs this as the
+// churn acceptance gate.
 //
 //   longitudinal_churn [--out-dir DIR] [--profile SPEC] [--threads N]
 //                      [--deterministic-metrics]

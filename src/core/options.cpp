@@ -280,7 +280,8 @@ ServeOptions serve_options_from_env_and_args(int argc, char** argv) {
     } else if (arg == "--no-metrics") {
       out.metrics = false;
     } else {
-      out.positional.push_back(arg);
+      out.error = "error: unknown argument '" + arg + "'";
+      return out;
     }
   }
   return out;

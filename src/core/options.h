@@ -73,15 +73,13 @@ struct ServeOptions {
   int max_clients = 64;
   // Register query counters in a metrics registry (--no-metrics disables).
   bool metrics = true;
-  // Arguments not consumed by a recognized flag, in original order.
-  std::vector<std::string> positional;
   // Non-empty on a parse/validation failure.
   std::string error;
   bool ok() const { return error.empty(); }
 };
 
 // Environment first, then flags: --port N, --snapshot PATH,
-// --max-clients N, --no-metrics. Everything else lands in `positional`.
+// --max-clients N, --no-metrics. Any other argument is an error.
 ServeOptions serve_options_from_env_and_args(int argc, char** argv);
 
 }  // namespace cloudmap

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 
 #include "net/geo.h"
-#include "net/prefix_trie.h"
 #include "util/rng.h"
 
 namespace cloudmap {
@@ -29,9 +29,6 @@ Forwarder::Forwarder(const World& world, const BgpSimulator& sim)
   }
   intra_links_.freeze();
   inter_as_links_.freeze();
-  for (const auto& [address, iface] : world.interface_by_ip)
-    iface_by_ip_.insert(address, iface);
-  iface_by_ip_.freeze();
   // Announced-prefix origin table (the BGP ground truth; collector snapshots
   // are a filtered view of this), resolved to the origin's AsId once here
   // rather than per path.
@@ -43,27 +40,27 @@ Forwarder::Forwarder(const World& world, const BgpSimulator& sim)
   }
   announced_origin_.freeze();
 
-  // Cloud FIBs: per-interconnect announcements plus exact /32 routes for
-  // both interconnect endpoints. Accumulated in a binary trie (incremental
-  // at_or_default), then flattened for the lookup path.
-  PrefixTrie<FibEntry> fib_build[kCloudProviderCount];
-  for (std::uint32_t i = 0; i < world.interconnects.size(); ++i) {
-    const GroundTruthInterconnect& ic = world.interconnects[i];
+  // Cloud FIBs: per-interconnect announcements plus an exact /32 route to
+  // each interconnect's client address. Each prefix gathers its egress
+  // links in interconnect order, then the flat tries are built once.
+  std::map<Prefix, FibEntry> fib_build[kCloudProviderCount];
+  for (const GroundTruthInterconnect& ic : world.interconnects) {
     if (ic.private_address) continue;
     auto& fib = fib_build[static_cast<int>(ic.cloud)];
     const Ipv4 client_addr = world.interfaces[ic.client_interface.value].address;
-    for (const Prefix& prefix : ic.announced_to_cloud) {
-      fib.at_or_default(prefix).egress.push_back(ic.link);
-      if (ic.secondary_link.valid())
-        fib.at_or_default(prefix).egress.push_back(ic.secondary_link);
-    }
-    fib.at_or_default(Prefix(client_addr, 32)).egress.push_back(ic.link);
-    if (ic.secondary_link.valid())
-      fib.at_or_default(Prefix(client_addr, 32))
-          .egress.push_back(ic.secondary_link);
+    const auto add = [&](const Prefix& prefix) {
+      std::vector<LinkId>& egress = fib[prefix].egress;
+      egress.push_back(ic.link);
+      if (ic.secondary_link.valid()) egress.push_back(ic.secondary_link);
+    };
+    for (const Prefix& prefix : ic.announced_to_cloud) add(prefix);
+    add(Prefix(client_addr, 32));
   }
-  for (int p = 0; p < static_cast<int>(kCloudProviderCount); ++p)
-    cloud_fib_[p] = FlatPrefixTrie<FibEntry>::from(fib_build[p]);
+  for (int p = 0; p < static_cast<int>(kCloudProviderCount); ++p) {
+    for (auto& [prefix, entry] : fib_build[p])
+      cloud_fib_[p].insert(prefix, std::move(entry));
+    cloud_fib_[p].freeze();
+  }
 
   // Per-link egress metadata for the choose_egress scan.
   link_border_router_.resize(world.links.size());
@@ -317,8 +314,7 @@ void Forwarder::path_into(const VantagePoint& vp, Ipv4 dst, ForwardPath& out,
   out.egress_interconnect = LinkId{};
   // One address-table probe per path; every consumer below (and the
   // traceroute engine, via the result) reads this copy.
-  const InterfaceId* found = iface_by_ip_.find(dst.value());
-  const InterfaceId dst_iface = found == nullptr ? InterfaceId{} : *found;
+  const InterfaceId dst_iface = world_->find_interface(dst);
   out.dst_interface = dst_iface;
   if (vp.is_cloud()) {
     const Region& region = world_->region(vp.region);

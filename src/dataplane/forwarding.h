@@ -127,9 +127,6 @@ class Forwarder {
   FlatPrefixTrie<AsId> announced_origin_;
   FlatHashMap<std::uint64_t, LinkId> intra_links_;
   FlatHashMap<std::uint64_t, LinkId> inter_as_links_;
-  // World::find_interface re-indexed into the flat probe table (built once,
-  // the world is immutable for the forwarder's lifetime).
-  FlatHashMap<std::uint32_t, InterfaceId> iface_by_ip_;
   // Memoized great-circle distances, [region * routers.size() + router]:
   // from the region core (backbone-climb scoring) and from the region's
   // metro (hot-potato egress choice). Entries are the exact doubles

@@ -1,15 +1,17 @@
-// Open-addressed hash map for the forwarding hot path. libstdc++'s
-// unordered_map is node-based: every find chases a bucket pointer into a
-// heap node, which is a guaranteed cache miss on the (common) negative
-// probe. This map keeps keys and values in two flat arrays with linear
-// probing, so a miss usually costs one cache line.
+// Open-addressed hash map for the forwarding hot path: the forwarder's
+// link-pair indexes and World's interface index. libstdc++'s unordered_map
+// is node-based: every find chases a bucket pointer into a heap node, which
+// is a guaranteed cache miss on the (common) negative probe. This map keeps
+// keys and values in two flat arrays with linear probing, so a miss usually
+// costs one cache line.
 //
 // Usage contract, mirroring FlatPrefixTrie: insert() while building, then
 // freeze() exactly once; find() is valid only on a frozen map. Key 0 is
-// reserved as the empty-slot sentinel and must never be inserted — both
-// callers satisfy this structurally (interface addresses are non-zero, and
-// router/AS pair keys would require a self-link between id-0 entities).
-// Duplicate keys keep the first insertion, matching unordered_map::emplace.
+// reserved as the empty-slot sentinel and must never be inserted — every
+// caller satisfies this structurally (World indexes only assigned, non-zero
+// addresses, and router/AS pair keys would require a self-link between
+// id-0 entities). Duplicate keys keep the first insertion, matching
+// unordered_map::emplace.
 //
 // lint: hot-path
 #pragma once
@@ -56,7 +58,6 @@ class FlatHashMap {
     frozen_ = true;
   }
 
-  bool frozen() const noexcept { return frozen_; }
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
 

@@ -1,9 +1,11 @@
-// Flat array-backed multibit trie with longest-prefix-match lookup.
+// Flat array-backed multibit trie with longest-prefix-match lookup: the
+// one prefix table behind IP→AS annotation (§3), WHOIS fallback, IXP-LAN
+// membership, the cloud FIBs and the world's ground-truth prefix indexes.
 // lint: hot-path
 //
-// The pointer-chasing PrefixTrie walks up to 32 heap nodes per lookup; at
-// campaign scale every traceroute hop pays that three times (BGP origin,
-// WHOIS fallback, IXP membership). This trie trades build-time work and a
+// A pointer trie walks up to 32 heap nodes per lookup; at campaign scale
+// every traceroute hop would pay that three times (BGP origin, WHOIS
+// fallback, IXP membership). This trie trades build-time work and a
 // fixed 256 KiB root table for lookups that touch at most three cache
 // lines: a 16-bit root stride followed by two 8-bit strides, with values
 // leaf-pushed into every covered slot so no backtracking is ever needed.
@@ -12,21 +14,18 @@
 // any lookup. A frozen trie is immutable and safe to share across threads.
 // Build order does not matter — freeze() replays entries shortest-prefix
 // first, so later (longer) prefixes override the slots of covering blocks,
-// and re-inserting an identical prefix overwrites (last insert wins),
-// matching PrefixTrie::insert semantics.
+// and re-inserting an identical prefix overwrites (last insert wins).
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "net/ipv4.h"
 #include "net/prefix.h"
-#include "net/prefix_trie.h"
 
 namespace cloudmap {
 
@@ -43,30 +42,11 @@ class FlatPrefixTrie {
   void freeze() {
     if (!frozen_) build();
   }
-  bool frozen() const noexcept { return frozen_; }
-
-  // Convert an existing binary trie (preserves its entry set exactly).
-  static FlatPrefixTrie from(const PrefixTrie<Value>& trie) {
-    FlatPrefixTrie out;
-    trie.for_each([&](const Prefix& prefix, const Value& value) {
-      out.insert(prefix, value);
-    });
-    out.freeze();
-    return out;
-  }
 
   // Longest-prefix match: the most specific covering entry, if any.
   const Value* lookup(Ipv4 address) const {
     const std::int32_t slot = find_slot(address);
     return slot >= 0 ? &entries_[slot].value : nullptr;
-  }
-
-  // As lookup(), but also reports the matched prefix.
-  std::optional<std::pair<Prefix, Value>> lookup_entry(Ipv4 address) const {
-    const std::int32_t slot = find_slot(address);
-    if (slot < 0) return std::nullopt;
-    const Entry& entry = entries_[slot];
-    return std::make_pair(entry.prefix, entry.value);
   }
 
   // Batched LPM: out[i] receives lookup(addresses[i]). Amortizes the root
@@ -96,8 +76,8 @@ class FlatPrefixTrie {
   }
   bool empty() const noexcept { return size() == 0; }
 
-  // Visit every (prefix, value) pair in (network, length) order — the same
-  // pre-order sequence PrefixTrie::for_each produces.
+  // Visit every (prefix, value) pair in (network, length) order: a covering
+  // prefix before the prefixes it covers (pre-order over the binary trie).
   template <typename Fn>
   void for_each(Fn&& fn) const {
     assert(frozen_);
@@ -150,8 +130,8 @@ class FlatPrefixTrie {
 
   void build() {
     frozen_ = true;
-    // Dedup: last insert of an exact prefix wins (PrefixTrie overwrite
-    // semantics), then keep (network, length) order for for_each/exact.
+    // Dedup: last insert of an exact prefix wins, then keep (network,
+    // length) order for for_each/exact.
     std::sort(pending_.begin(), pending_.end(),
               [](const Pending& a, const Pending& b) {
                 const std::uint64_t ka = entry_key(a.prefix);

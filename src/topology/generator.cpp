@@ -116,10 +116,10 @@ class Builder {
     make_client_routers();
     make_inter_as_links();
     make_cloud_peerings();
-    // Pack the router→interface arena before anything resolves spans
-    // (finalize_hosting reads router interface lists for fixed replies).
+    assign_hosting_routers();
+    // Builds every index: the fixed replies below resolve interface spans.
     world_.seal();
-    finalize_hosting();
+    apply_fixed_replies();
     return std::move(world_);
   }
 
@@ -872,7 +872,7 @@ class Builder {
   void add_vpis(AsId client, int count);
 
   // ---------------- hosting & finalization ----------------
-  void finalize_hosting() {
+  void assign_hosting_routers() {
     // Assign every announced/WHOIS block of every AS to one of its routers
     // (round-robin): probes into the block terminate at that router.
     for (std::uint32_t i = 0; i < world_.ases.size(); ++i) {
@@ -887,6 +887,9 @@ class Builder {
       for (const Prefix& p : as.announced_prefixes) host(p);
       for (const Prefix& p : as.whois_only_prefixes) host(p);
     }
+  }
+
+  void apply_fixed_replies() {
     // Fixed-reply routers answer with their first interface (often making it
     // a "third-party" address relative to the probed path).
     for (RouterId router : fixed_reply_routers_) {

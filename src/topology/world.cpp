@@ -13,11 +13,6 @@ std::vector<RegionId> World::regions_of(CloudProvider provider) const {
   return out;
 }
 
-InterfaceId World::find_interface(Ipv4 address) const {
-  const auto it = interface_by_ip.find(address.value());
-  return it == interface_by_ip.end() ? InterfaceId{} : it->second;
-}
-
 AsId World::owner_of(Ipv4 address) const {
   const AsId* owner = prefix_owner.lookup(address);
   return owner == nullptr ? AsId{} : *owner;
@@ -50,7 +45,6 @@ InterfaceId World::add_interface(RouterId router_id, Ipv4 address,
   const InterfaceId id =
       narrow_id<InterfaceId>(interfaces.size(), "interface table");
   interfaces.push_back(Interface{address, router_id, link_id, true});
-  if (!address.is_unspecified()) interface_by_ip[address.value()] = id;
   return id;
 }
 
@@ -81,6 +75,16 @@ void World::seal() {
     router_iface_pool[routers[r].interfaces.first + cursor[r]++] =
         InterfaceId{i};
   }
+  prefix_owner.freeze();
+  hosting_router.freeze();
+  // FlatHashMap keeps the first insert of a key: walking the table from the
+  // top makes the highest-index interface of a shared address win.
+  for (auto i = static_cast<std::uint32_t>(interfaces.size()); i-- > 0;) {
+    const Ipv4 address = interfaces[i].address;
+    if (!address.is_unspecified())
+      interface_by_ip.insert(address.value(), InterfaceId{i});
+  }
+  interface_by_ip.freeze();
 }
 
 LinkId World::add_link(InterfaceId a, InterfaceId b, LinkKind kind,

@@ -7,10 +7,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/flat_hash.h"
+#include "net/flat_prefix_trie.h"
 #include "net/ids.h"
 #include "net/ipv4.h"
 #include "net/prefix.h"
-#include "net/prefix_trie.h"
 #include "topology/entities.h"
 
 namespace cloudmap {
@@ -40,12 +41,15 @@ class World {
 
   // --- indices ---
   // Ground-truth owner of every allocated prefix (announced, WHOIS-only,
-  // IXP LANs, interconnect subnets).
-  PrefixTrie<AsId> prefix_owner;
+  // IXP LANs, interconnect subnets). The generator inserts; seal() freezes.
+  FlatPrefixTrie<AsId> prefix_owner;
   // Router that terminates probes aimed into a prefix (the "hosting" edge
-  // router for that address block).
-  PrefixTrie<RouterId> hosting_router;
-  std::unordered_map<std::uint32_t, InterfaceId> interface_by_ip;
+  // router for that address block). The generator inserts; seal() freezes.
+  FlatPrefixTrie<RouterId> hosting_router;
+  // Interface holding each assigned address, built by seal(). An address
+  // on several interfaces (shared L2 ports, redundant sessions, always one
+  // router) resolves to the highest interface index.
+  FlatHashMap<std::uint32_t, InterfaceId> interface_by_ip;
   std::unordered_map<std::uint32_t, AsId> as_by_asn;
 
   // --- accessors ---
@@ -92,7 +96,10 @@ class World {
   }
 
   // Interface lookup by address; invalid id when unknown.
-  InterfaceId find_interface(Ipv4 address) const;
+  InterfaceId find_interface(Ipv4 address) const {
+    const InterfaceId* found = interface_by_ip.find(address.value());
+    return found == nullptr ? InterfaceId{} : *found;
+  }
 
   // AS that owns the address block containing `address` (ground truth);
   // invalid AsId when the address is unallocated.
@@ -126,9 +133,10 @@ class World {
   // other router's (the generator builds borders one at a time).
   void add_extra_uplink(RouterId router_id, LinkId link);
 
-  // Pack the router→interface arena from the interface table. Must run after
-  // the last add_interface and before anything resolves Router::interfaces
-  // spans; the generator calls it at the end of construction. Per-router
+  // Build every index once: pack the router→interface arena from the
+  // interface table, freeze prefix_owner and hosting_router, and build
+  // interface_by_ip. Runs once, after the last add_interface and the last
+  // trie insert; nothing may query a World before it runs. Per-router
   // interface order is insertion order (== global interface index order).
   void seal();
 

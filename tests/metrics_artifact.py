@@ -26,7 +26,8 @@ The `metrics` phase (the MetricsArtifact ctest):
 
 Prove-it: seeds 42 and 43 must fail --expect-identical with exit 1, and the
 first artifact with its `pinning` stage deleted must fail the validator
-with exit 1.
+with exit 1. A stale flag (`snapshot 42 --snapshot x.snap`) must exit 2,
+name the flag, and write no file named `--snapshot`.
 
 The `loss` phase (the LossMatrix ctest), at router response scales 0.85 and
 0.60, each with --retry-budget 3 --deterministic-metrics:
@@ -148,6 +149,15 @@ def metrics_phase(cli, work):
     result = run(tool("validate_metrics.py", "broken.json"), work,
                  expect_status=1)
     expect_output(result, "missing stage 'pinning'")
+
+    # An unknown flag is refused, not taken for the output file name.
+    result = run([cli, "snapshot", SEED, "--snapshot", "x.snap"], work,
+                 expect_status=2)
+    expect_output(result, "unknown argument '--snapshot'")
+    for name in ("--snapshot", "x.snap"):
+        if os.path.exists(os.path.join(work, name)):
+            raise CheckFailure("the refused command wrote " + name)
+    print("ok: the stale --snapshot flag was refused and wrote nothing")
 
 
 def loss_phase(cli, work):

@@ -1,15 +1,18 @@
-// FlatPrefixTrie: equivalence with the binary PrefixTrie it replaces on the
-// hot lookup paths — randomized LPM cross-checks over 10k prefixes,
-// covering/adjacent /24 structure, default-route fallback, batch-vs-scalar
-// identity — plus the FlatHashMap probe table behind the forwarder indices.
+// FlatPrefixTrie: longest-prefix match against brute-force and
+// by-definition oracles (randomized, over up to 10k prefixes), covering and
+// adjacent /24 structure, default-route fallback, last-insert-wins,
+// batch-vs-scalar identity and entry order — plus the FlatHashMap probe
+// table behind the forwarder's and World's indexes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/flat_hash.h"
 #include "net/flat_prefix_trie.h"
-#include "net/prefix_trie.h"
 #include "util/rng.h"
 
 namespace cloudmap {
@@ -21,7 +24,6 @@ TEST(FlatPrefixTrie, EmptyLookups) {
   EXPECT_TRUE(trie.empty());
   EXPECT_EQ(trie.lookup(Ipv4(1, 2, 3, 4)), nullptr);
   EXPECT_EQ(trie.exact(Prefix(Ipv4(1, 2, 3, 0), 24)), nullptr);
-  EXPECT_FALSE(trie.lookup_entry(Ipv4(1, 2, 3, 4)).has_value());
 }
 
 TEST(FlatPrefixTrie, CoveringAndAdjacentSlash24s) {
@@ -41,11 +43,6 @@ TEST(FlatPrefixTrie, CoveringAndAdjacentSlash24s) {
   EXPECT_EQ(*trie.lookup(Ipv4(10, 1, 6, 99)), 241);   // adjacent /24
   EXPECT_EQ(*trie.lookup(Ipv4(10, 1, 7, 0)), 160);    // past both /24s
   EXPECT_EQ(trie.lookup(Ipv4(10, 2, 0, 1)), nullptr); // outside the /16
-
-  const auto entry = trie.lookup_entry(Ipv4(10, 1, 5, 99));
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->first, Prefix(Ipv4(10, 1, 5, 99), 32));
-  EXPECT_EQ(entry->second, 320);
 }
 
 TEST(FlatPrefixTrie, DefaultRouteFallback) {
@@ -68,6 +65,56 @@ TEST(FlatPrefixTrie, LastInsertOfSamePrefixWins) {
   EXPECT_EQ(*trie.exact(Prefix(Ipv4(10, 0, 0, 0), 8)), 2);
 }
 
+// Property test: random prefix sets against a brute-force oracle.
+class FlatPrefixTrieProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlatPrefixTrieProperty, MatchesBruteForceOracle) {
+  Rng rng(GetParam());
+  FlatPrefixTrie<int> trie;
+  std::vector<std::pair<Prefix, int>> entries;
+  for (int i = 0; i < 200; ++i) {
+    const auto length = static_cast<std::uint8_t>(rng.range(4, 30));
+    const Prefix p(Ipv4(static_cast<std::uint32_t>(rng.next())), length);
+    // Keep the oracle simple: skip duplicate prefixes.
+    bool duplicate = false;
+    for (const auto& [existing, value] : entries)
+      if (existing == p) duplicate = true;
+    if (duplicate) continue;
+    entries.emplace_back(p, i);
+    trie.insert(p, i);
+  }
+  trie.freeze();
+  ASSERT_EQ(trie.size(), entries.size());
+
+  for (int probe = 0; probe < 2000; ++probe) {
+    // Half the probes land inside a random entry, half are uniform.
+    Ipv4 address(static_cast<std::uint32_t>(rng.next()));
+    if (!entries.empty() && probe % 2 == 0) {
+      const auto& [p, value] = entries[rng.bounded(entries.size())];
+      address = Ipv4(p.network().value() +
+                     static_cast<std::uint32_t>(rng.bounded(p.size())));
+    }
+    // Oracle: longest containing prefix.
+    const std::pair<Prefix, int>* best = nullptr;
+    for (const auto& entry : entries) {
+      if (!entry.first.contains(address)) continue;
+      if (best == nullptr || entry.first.length() > best->first.length())
+        best = &entry;
+    }
+    const int* found = trie.lookup(address);
+    if (best == nullptr) {
+      EXPECT_EQ(found, nullptr) << address.to_string();
+    } else {
+      ASSERT_NE(found, nullptr) << address.to_string();
+      EXPECT_EQ(*found, best->second) << address.to_string();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatPrefixTrieProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 99));
+
 // Deterministic random prefix mix spanning every stride boundary the flat
 // layout cares about (root <=16, level-1 17..24, level-2 25..32).
 std::vector<Prefix> random_prefixes(Rng& rng, std::size_t count) {
@@ -81,13 +128,26 @@ std::vector<Prefix> random_prefixes(Rng& rng, std::size_t count) {
   return prefixes;
 }
 
-TEST(FlatPrefixTrie, RandomizedCrossCheckAgainstBinaryTrie) {
+// Longest-prefix match by definition: the first (address masked to L, L)
+// present, for L from 32 down to 0. `entries` is filled by assignment, so a
+// repeated prefix holds its last insert.
+const std::uint32_t* longest_match(
+    const std::map<Prefix, std::uint32_t>& entries, Ipv4 address) {
+  for (int length = 32; length >= 0; --length) {
+    const auto it =
+        entries.find(Prefix(address, static_cast<std::uint8_t>(length)));
+    if (it != entries.end()) return &it->second;
+  }
+  return nullptr;
+}
+
+TEST(FlatPrefixTrie, RandomizedCrossCheckAgainstLpmDefinition) {
   Rng rng(0xC10Dull);
-  PrefixTrie<std::uint32_t> reference;
+  std::map<Prefix, std::uint32_t> reference;
   FlatPrefixTrie<std::uint32_t> flat;
   const std::vector<Prefix> prefixes = random_prefixes(rng, 10000);
   for (std::uint32_t i = 0; i < prefixes.size(); ++i) {
-    reference.insert(prefixes[i], i);
+    reference[prefixes[i]] = i;
     flat.insert(prefixes[i], i);
   }
   flat.freeze();
@@ -113,22 +173,13 @@ TEST(FlatPrefixTrie, RandomizedCrossCheckAgainstBinaryTrie) {
   }
 
   for (const Ipv4 probe : probes) {
-    const std::uint32_t* expected = reference.lookup(probe);
+    const std::uint32_t* expected = longest_match(reference, probe);
     const std::uint32_t* actual = flat.lookup(probe);
     if (expected == nullptr) {
       ASSERT_EQ(actual, nullptr) << "probe " << probe.value();
     } else {
       ASSERT_NE(actual, nullptr) << "probe " << probe.value();
       ASSERT_EQ(*actual, *expected) << "probe " << probe.value();
-    }
-    const auto expected_entry = reference.lookup_entry(probe);
-    const auto actual_entry = flat.lookup_entry(probe);
-    ASSERT_EQ(actual_entry.has_value(), expected_entry.has_value());
-    if (expected_entry.has_value()) {
-      // PrefixTrie reports the matched depth on the probe address; compare
-      // lengths and values (the flat trie stores the canonical network).
-      ASSERT_EQ(actual_entry->first.length(), expected_entry->first.length());
-      ASSERT_EQ(actual_entry->second, expected_entry->second);
     }
   }
 }
@@ -150,28 +201,44 @@ TEST(FlatPrefixTrie, BatchMatchesScalar) {
     ASSERT_EQ(batched[i], flat.lookup(addresses[i])) << "index " << i;
 }
 
-TEST(FlatPrefixTrie, FromBinaryTriePreservesEntriesAndOrder) {
-  Rng rng(0xF00Dull);
-  PrefixTrie<std::uint32_t> reference;
-  const std::vector<Prefix> prefixes = random_prefixes(rng, 500);
-  for (std::uint32_t i = 0; i < prefixes.size(); ++i)
-    reference.insert(prefixes[i], i);
-  const FlatPrefixTrie<std::uint32_t> flat =
-      FlatPrefixTrie<std::uint32_t>::from(reference);
-
-  std::vector<std::pair<Prefix, std::uint32_t>> expected;
-  reference.for_each([&](const Prefix& prefix, const std::uint32_t& value) {
-    expected.emplace_back(prefix, value);
+TEST(FlatPrefixTrie, ForEachVisitsAllInAddressOrder) {
+  // for_each visits prefixes in (network, length) order, the pre-order of
+  // a binary trie over the same prefixes: a covering prefix before the
+  // prefixes it covers, whatever the insertion order.
+  FlatPrefixTrie<std::uint32_t> trie;
+  trie.insert(Prefix(Ipv4(20, 0, 0, 0), 8), 1);
+  trie.insert(Prefix(Ipv4(10, 0, 0, 0), 8), 2);
+  trie.insert(Prefix(Ipv4(10, 5, 0, 0), 16), 3);
+  trie.freeze();
+  std::vector<std::string> seen;
+  trie.for_each([&](const Prefix& p, std::uint32_t) {
+    seen.push_back(p.to_string());
   });
+  EXPECT_EQ(seen, (std::vector<std::string>{"10.0.0.0/8", "10.5.0.0/16",
+                                            "20.0.0.0/8"}));
+}
+
+TEST(FlatPrefixTrie, FromBinaryTriePreservesEntriesAndOrder) {
+  // for_each visits every distinct prefix once, in (network, length) order,
+  // and exact() finds each entry. The reference: a map ordered by
+  // (network, length), filled by assignment so that a repeated prefix
+  // holds its last insert.
+  Rng rng(0xF00Dull);
+  FlatPrefixTrie<std::uint32_t> flat;
+  std::map<Prefix, std::uint32_t> expected;
+  const std::vector<Prefix> prefixes = random_prefixes(rng, 500);
+  for (std::uint32_t i = 0; i < prefixes.size(); ++i) {
+    flat.insert(prefixes[i], i);
+    expected[prefixes[i]] = i;
+  }
+  flat.freeze();
+
   std::vector<std::pair<Prefix, std::uint32_t>> actual;
   flat.for_each([&](const Prefix& prefix, const std::uint32_t& value) {
     actual.emplace_back(prefix, value);
   });
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i].first, expected[i].first) << "index " << i;
-    EXPECT_EQ(actual[i].second, expected[i].second) << "index " << i;
-  }
+  EXPECT_EQ(actual, (std::vector<std::pair<Prefix, std::uint32_t>>(
+                        expected.begin(), expected.end())));
   for (const auto& [prefix, value] : expected) {
     const std::uint32_t* exact = flat.exact(prefix);
     ASSERT_NE(exact, nullptr);

@@ -1,11 +1,14 @@
 // World accessor and index coverage beyond generation invariants.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "fixtures.h"
 
 namespace cloudmap {
 namespace {
 
+using testfx::paper_world;
 using testfx::small_world;
 
 TEST(WorldAccessors, FindInterfaceRoundTrips) {
@@ -17,13 +20,34 @@ TEST(WorldAccessors, FindInterfaceRoundTrips) {
     if (iface.address.is_unspecified()) continue;
     const InterfaceId found = world.find_interface(iface.address);
     ASSERT_TRUE(found.valid());
-    // Shared addresses (L2 ports, redundant sessions) resolve to the first
-    // registrant, which must at least share the router.
+    // Shared addresses (L2 ports, redundant sessions) resolve to one
+    // registrant (see below), which must at least share the router.
     EXPECT_EQ(world.interface(found).router, iface.router);
     ++checked;
   }
   EXPECT_GT(checked, 100u);
   EXPECT_FALSE(world.find_interface(Ipv4(99, 99, 99, 99)).valid());
+}
+
+TEST(WorldAccessors, SharedAddressResolvesToHighestIndex) {
+  for (const World* world : {&small_world(), &paper_world()}) {
+    std::unordered_map<std::uint32_t, std::uint32_t> highest;
+    std::size_t repeats = 0;
+    for (std::uint32_t i = 0; i < world->interfaces.size(); ++i) {
+      const Ipv4 address = world->interfaces[i].address;
+      if (address.is_unspecified()) continue;
+      repeats += highest.count(address.value());
+      highest[address.value()] = i;
+    }
+    // Both worlds share addresses, so the rule is exercised, not vacuous.
+    EXPECT_GT(repeats, 0u);
+    for (const Interface& iface : world->interfaces) {
+      if (iface.address.is_unspecified()) continue;
+      ASSERT_EQ(world->find_interface(iface.address).value,
+                highest.at(iface.address.value()))
+          << iface.address.to_string();
+    }
+  }
 }
 
 TEST(WorldAccessors, OwnerOfMatchesPrefixOwner) {

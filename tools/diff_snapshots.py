@@ -19,7 +19,7 @@ hazard profile is reported.
 With more than two snapshots the tool switches to a longitudinal summary:
 one turnover row per consecutive pair (added/removed/re-confirmed segments,
 re-pinned addresses, mean confidence drift) — the table the churn scorecard
-and the hazard-matrix CI job read to check that a snapshot sequence
+and the HazardMatrix ctest read to check that a snapshot sequence
 reconstructs planted peering turnover.
 
 With --shard-parts the arguments are campaign shard part files (the

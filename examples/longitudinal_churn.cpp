@@ -29,12 +29,27 @@ int main(int argc, char** argv) {
 
   std::string out_dir = ".";
   HazardProfile profile = *HazardProfile::preset("churn");
-  for (std::size_t i = 0; i + 1 < front.positional.size(); ++i) {
-    if (front.positional[i] == "--out-dir") {
-      out_dir = front.positional[++i];
-    } else if (front.positional[i] == "--profile") {
+  // The shared parser passes unknown flags through as operands. This tool
+  // takes no operands and reads only --out-dir and --profile, so anything
+  // else is a mistake: a misspelt --out-dir must not write into the
+  // working directory.
+  const std::vector<std::string>& args = front.positional;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (arg != "--out-dir" && arg != "--profile") {
+      std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
+      return 2;
+    }
+    if (i + 1 >= args.size()) {
+      std::fprintf(stderr, "error: %s requires a value\n", arg.c_str());
+      return 2;
+    }
+    const std::string& value = args[++i];
+    if (arg == "--out-dir") {
+      out_dir = value;
+    } else {
       std::string error;
-      const auto parsed = HazardProfile::parse(front.positional[++i], &error);
+      const auto parsed = HazardProfile::parse(value, &error);
       if (!parsed) {
         std::fprintf(stderr, "%s\n", error.c_str());
         return 2;

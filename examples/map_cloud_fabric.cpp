@@ -5,6 +5,7 @@
 //
 // Output: cloudmap_interconnections.csv and cloudmap_peers.csv in the
 // working directory.
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -56,7 +57,8 @@ int main(int argc, char** argv) {
       out << segment.abi.to_string() << ',' << segment.cbi.to_string() << ','
           << owner.value << ',' << (group ? to_string(*group) : "unknown")
           << ',' << to_string(segment.confirmation) << ','
-          << (segment.shifted ? 1 : 0) << ',' << segment.regions.size() << ','
+          << (segment.shifted ? 1 : 0) << ','
+          << std::popcount(segment.regions) << ','
           << metro_of(segment.abi) << ',' << metro_of(segment.cbi) << '\n';
     }
   }

@@ -385,9 +385,8 @@ const RunSnapshot& Pipeline::run_snapshot() {
     snap.rounds_mask = seg.rounds_mask;
     snap.hop_density = conf.hop_density;
     snap.confidence = conf.score;
-    snap.regions.assign(seg.regions.begin(), seg.regions.end());
-    snap.dest_slash24s.assign(seg.dest_slash24s.begin(),
-                              seg.dest_slash24s.end());
+    snap.regions = region_ids(seg.regions);
+    snap.dest_slash24s = seg.dest_slash24s;
     out.segments.push_back(std::move(snap));
   }
 

@@ -42,35 +42,67 @@ Forwarder::Forwarder(const World& world, const BgpSimulator& sim)
 
   // Cloud FIBs: per-interconnect announcements plus an exact /32 route to
   // each interconnect's client address. Each prefix gathers its egress
-  // links in interconnect order, then the flat tries are built once.
-  std::map<Prefix, FibEntry> fib_build[kCloudProviderCount];
-  for (const GroundTruthInterconnect& ic : world.interconnects) {
+  // links in interconnect order; the links are then grouped by the owner
+  // AS of their client side (a stable sort, so each group keeps
+  // interconnect order) into the cloud's flat arrays, and the flat tries
+  // are built once. link_rank_ records that order for tie-breaks.
+  link_rank_.assign(world.links.size(), UINT32_MAX);
+  std::map<Prefix, std::vector<LinkId>> fib_build[kCloudProviderCount];
+  for (std::uint32_t i = 0; i < world.interconnects.size(); ++i) {
+    const GroundTruthInterconnect& ic = world.interconnects[i];
     if (ic.private_address) continue;
     auto& fib = fib_build[static_cast<int>(ic.cloud)];
     const Ipv4 client_addr = world.interfaces[ic.client_interface.value].address;
+    const auto rank = [&](LinkId link, std::uint32_t at) {
+      link_rank_[link.value] = std::min(link_rank_[link.value], at);
+    };
+    rank(ic.link, 2 * i);
+    if (ic.secondary_link.valid()) rank(ic.secondary_link, 2 * i + 1);
     const auto add = [&](const Prefix& prefix) {
-      std::vector<LinkId>& egress = fib[prefix].egress;
+      std::vector<LinkId>& egress = fib[prefix];
       egress.push_back(ic.link);
       if (ic.secondary_link.valid()) egress.push_back(ic.secondary_link);
     };
     for (const Prefix& prefix : ic.announced_to_cloud) add(prefix);
     add(Prefix(client_addr, 32));
   }
+  const auto client_owner = [&](LinkId link) {
+    return world.router_owner(
+        world.interfaces[world.links[link.value].side_b.value].router);
+  };
   for (int p = 0; p < static_cast<int>(kCloudProviderCount); ++p) {
-    for (auto& [prefix, entry] : fib_build[p])
-      cloud_fib_[p].insert(prefix, std::move(entry));
-    cloud_fib_[p].freeze();
+    CloudFib& fib = cloud_fib_[p];
+    for (auto& [prefix, egress] : fib_build[p]) {
+      std::stable_sort(egress.begin(), egress.end(),
+                       [&](LinkId a, LinkId b) {
+                         return client_owner(a) < client_owner(b);
+                       });
+      FibEntry entry;
+      entry.first_group = static_cast<std::uint32_t>(fib.groups.size());
+      for (const LinkId link : egress) {
+        const AsId owner = client_owner(link);
+        if (fib.groups.size() == entry.first_group ||
+            fib.groups.back().owner != owner) {
+          fib.groups.push_back(EgressGroup{
+              owner, static_cast<std::uint32_t>(fib.links.size()), 0});
+        }
+        ++fib.groups.back().link_count;
+        fib.links.push_back(link);
+      }
+      entry.group_count =
+          static_cast<std::uint32_t>(fib.groups.size()) - entry.first_group;
+      fib.trie.insert(prefix, entry);
+    }
+    fib.trie.freeze();
+    fib.groups.shrink_to_fit();
+    fib.links.shrink_to_fit();
   }
 
   // Per-link egress metadata for the choose_egress scan.
   link_border_router_.resize(world.links.size());
-  link_client_owner_.resize(world.links.size());
-  for (std::uint32_t l = 0; l < world.links.size(); ++l) {
-    const Link& link = world.links[l];
-    link_border_router_[l] = world.interfaces[link.side_a.value].router;
-    link_client_owner_[l] =
-        world.router_owner(world.interfaces[link.side_b.value].router);
-  }
+  for (std::uint32_t l = 0; l < world.links.size(); ++l)
+    link_border_router_[l] =
+        world.interfaces[world.links[l].side_a.value].router;
 
   // Distance memo: every per-hop score in cloud_internal_chain and
   // choose_egress reads these instead of recomputing the haversine trig.
@@ -192,50 +224,56 @@ bool Forwarder::cloud_internal_chain(RegionId region, RouterId target,
   return at == target;
 }
 
-LinkId Forwarder::choose_egress(RegionId region,
-                                const std::vector<LinkId>& candidates,
+LinkId Forwarder::choose_egress(RegionId region, const CloudFib& fib,
+                                const FibEntry& entry,
                                 std::uint32_t flow_hash,
                                 AsId direct_origin) const {
   const double* metro_km =
       &metro_km_[static_cast<std::size_t>(region.value) *
                  world_->routers.size()];
-  LinkId best = candidates.front();
+  const EgressGroup* groups = fib.groups.data() + entry.first_group;
+  const EgressGroup* groups_end = groups + entry.group_count;
+  // Score the direct group alone when the destination's origin holds one;
+  // else every candidate (the groups' links are contiguous).
+  std::uint32_t first = groups->first_link;
+  std::uint32_t end = groups_end[-1].first_link + groups_end[-1].link_count;
+  if (direct_origin.valid()) {
+    const EgressGroup* direct = std::lower_bound(
+        groups, groups_end, direct_origin,
+        [](const EgressGroup& g, AsId owner) { return g.owner < owner; });
+    if (direct != groups_end && direct->owner == direct_origin) {
+      first = direct->first_link;
+      end = first + direct->link_count;
+    }
+  }
+  LinkId best = fib.links[first];
   double best_score = 1e18;
-  LinkId best_direct;
-  double best_direct_score = 1e18;
-  bool any_direct = false;
-  for (LinkId link : candidates) {
+  for (std::uint32_t i = first; i < end; ++i) {
     // Cloud side is side_a by construction (the generator adds the border
     // interface first); use its router's metro for hot-potato choice, with
-    // per-destination ECMP jitter splitting near-equal candidates. Border
-    // router and client owner come from the per-link flat arrays.
+    // per-destination ECMP jitter splitting near-equal candidates. An exact
+    // tie goes to the candidate earlier in interconnect order.
+    const LinkId link = fib.links[i];
     const RouterId border = link_border_router_[link.value];
     const double j = flow_jitter(flow_hash, link.value);
     const double candidate_score =
         metro_km[border.value] * (1.0 + 0.35 * j) + j;
-    if (candidate_score < best_score) {
+    if (candidate_score < best_score ||
+        (candidate_score == best_score &&
+         link_rank_[link.value] < link_rank_[best.value])) {
       best_score = candidate_score;
       best = link;
     }
-    // A link is direct when its client side belongs to the origin AS.
-    if (direct_origin.valid() &&
-        link_client_owner_[link.value] == direct_origin) {
-      any_direct = true;
-      if (candidate_score < best_direct_score) {
-        best_direct_score = candidate_score;
-        best_direct = link;
-      }
-    }
   }
-  return any_direct ? best_direct : best;
+  return best;
 }
 
 PathOutcome Forwarder::walk_client_side(RouterId entry, Ipv4 dst,
                                         InterfaceId dst_iface,
+                                        const AsId* announced,
                                         std::vector<ForwardHop>& hops) const {
   // Destination interface (if the target is an interface address) takes
   // priority over the hosting-prefix router.
-  const AsId* announced = announced_origin_.lookup(dst);
   AsId origin{};
   if (announced != nullptr) {
     origin = *announced;
@@ -322,15 +360,16 @@ void Forwarder::path_into(const VantagePoint& vp, Ipv4 dst, ForwardPath& out,
     // First hop: the VM's gateway (the region core's host-facing interface).
     out.hops.push_back(ForwardHop{core, region.vm_gateway, 0.25});
 
-    const auto provider_index = static_cast<int>(vp.provider);
-    const auto entry = cloud_fib_[provider_index].lookup(dst);
-    if (entry != nullptr && !entry->egress.empty()) {
+    const CloudFib& fib = cloud_fib_[static_cast<int>(vp.provider)];
+    const FibEntry* entry = fib.trie.lookup(dst);
+    if (entry != nullptr && entry->group_count > 0) {
       // Prefer a direct route to the destination's origin AS over transit
-      // re-announcements of the same prefix, then hot-potato.
+      // re-announcements of the same prefix, then hot-potato. The origin
+      // lookup also serves the client-side walk below.
       const AsId* announced = announced_origin_.lookup(dst);
       const AsId direct_origin = announced == nullptr ? AsId{} : *announced;
       const LinkId egress =
-          choose_egress(vp.region, entry->egress, flow, direct_origin);
+          choose_egress(vp.region, fib, *entry, flow, direct_origin);
       const Link& l = world_->link(egress);
       const RouterId border = world_->interface(l.side_a).router;
       if (!cloud_internal_chain(vp.region, border, flow, out.hops)) {
@@ -346,8 +385,8 @@ void Forwarder::path_into(const VantagePoint& vp, Ipv4 dst, ForwardPath& out,
           world_->interface(dst_iface).router == client_router) {
         out.outcome = PathOutcome::kDelivered;
       } else {
-        out.outcome =
-            walk_client_side(client_router, dst, dst_iface, out.hops);
+        out.outcome = walk_client_side(client_router, dst, dst_iface,
+                                       announced, out.hops);
       }
       return;
     }
@@ -382,7 +421,8 @@ void Forwarder::path_into(const VantagePoint& vp, Ipv4 dst, ForwardPath& out,
 
   // Public-Internet vantage: start at the host router, no gateway hop.
   out.hops.push_back(ForwardHop{vp.host_router, InterfaceId{}, 0.0});
-  out.outcome = walk_client_side(vp.host_router, dst, dst_iface, out.hops);
+  out.outcome = walk_client_side(vp.host_router, dst, dst_iface,
+                                 announced_origin_.lookup(dst), out.hops);
 }
 
 std::optional<double> Forwarder::rtt_to_address(const VantagePoint& vp,

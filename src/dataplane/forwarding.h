@@ -83,8 +83,27 @@ class Forwarder {
   const World& world() const noexcept { return *world_; }
 
  private:
+  // A cloud-FIB entry's egress candidates, grouped by the owner AS of each
+  // link's client side: CloudFib::groups [first_group, first_group +
+  // group_count), sorted by owner, whose links lie contiguously in
+  // CloudFib::links.
   struct FibEntry {
-    std::vector<LinkId> egress;  // candidate interconnects
+    std::uint32_t first_group = 0;
+    std::uint32_t group_count = 0;
+  };
+  // The candidates of one entry whose client side `owner` holds:
+  // CloudFib::links [first_link, first_link + link_count), in interconnect
+  // order (link, then secondary_link).
+  struct EgressGroup {
+    AsId owner;
+    std::uint32_t first_link = 0;
+    std::uint32_t link_count = 0;
+  };
+  // One cloud's FIB: the trie plus the flat arrays its entries index.
+  struct CloudFib {
+    FlatPrefixTrie<FibEntry> trie;
+    std::vector<EgressGroup> groups;
+    std::vector<LinkId> links;
   };
 
   // Cloud-internal chain from a region core to a cloud router (core, border,
@@ -104,24 +123,27 @@ class Forwarder {
   // First inter-AS link between two neighboring ASes.
   std::optional<LinkId> inter_as_link(AsId a, AsId b) const;
 
-  // Pick the hot-potato egress among candidates for a source region, with
-  // per-destination ECMP tie-breaking among near-equal choices. When
-  // `direct_origin` is valid and any candidate lands in that AS, the choice
-  // is restricted to those direct candidates (preferring a direct route to
-  // the destination's origin over transit re-announcements).
-  LinkId choose_egress(RegionId region, const std::vector<LinkId>& candidates,
-                       std::uint32_t flow_hash, AsId direct_origin) const;
+  // Pick the hot-potato egress among an entry's candidates for a source
+  // region, with per-destination ECMP tie-breaking among near-equal
+  // choices. When `direct_origin` is valid and a group of candidates lands
+  // in that AS, only that group is scored (a direct route to the
+  // destination's origin beats transit re-announcements); otherwise every
+  // candidate is.
+  LinkId choose_egress(RegionId region, const CloudFib& fib,
+                       const FibEntry& entry, std::uint32_t flow_hash,
+                       AsId direct_origin) const;
 
   // Walk from an entry router inside AS `current` toward the origin AS of
-  // `dst`, appending hops; returns outcome. `dst_iface` is the caller's
-  // already-resolved find_interface(dst).
+  // `dst`, appending hops; returns outcome. `dst_iface` and `announced` are
+  // the caller's already-resolved find_interface(dst) and
+  // announced_origin_.lookup(dst).
   PathOutcome walk_client_side(RouterId entry, Ipv4 dst,
-                               InterfaceId dst_iface,
+                               InterfaceId dst_iface, const AsId* announced,
                                std::vector<ForwardHop>& hops) const;
 
   const World* world_;
   const BgpSimulator* sim_;
-  FlatPrefixTrie<FibEntry> cloud_fib_[kCloudProviderCount];
+  CloudFib cloud_fib_[kCloudProviderCount];
   // All announced prefixes → origin AsId (invalid when the origin's ASN is
   // missing from World::as_by_asn).
   FlatPrefixTrie<AsId> announced_origin_;
@@ -135,10 +157,12 @@ class Forwarder {
   std::vector<double> core_km_;
   std::vector<double> metro_km_;
   // Per-link egress metadata, indexed by link id: the cloud-side border
-  // router (side_a's router) and the owner AS of the client side. Folds the
-  // link → interface → router indirections out of the choose_egress scan.
+  // router (side_a's router), which folds the link → interface → router
+  // indirections out of the choose_egress scan, and the link's place in
+  // interconnect order, which breaks exact score ties the way a scan of
+  // the candidates in that order would.
   std::vector<RouterId> link_border_router_;
-  std::vector<AsId> link_client_owner_;
+  std::vector<std::uint32_t> link_rank_;
 
   static std::uint64_t key(std::uint32_t a, std::uint32_t b) {
     return (static_cast<std::uint64_t>(a) << 32) | b;

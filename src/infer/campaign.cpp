@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
+#include "net/flat_hash.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -33,6 +35,14 @@ Campaign::Campaign(const World& world, const Forwarder& forwarder,
       subject_org_(world.ases[world.cloud_primary(subject).value].org),
       config_(config) {
   for (RegionId region : world.regions_of(subject)) {
+    // Refused here, before any sweep: a worker's throw could not reach the
+    // caller as cleanly as this one.
+    if (region.value >= Fabric::kMaxRegions) {
+      throw std::invalid_argument(
+          "campaign: region " + world.region(region).name + " has id " +
+          std::to_string(region.value) + "; the fabric records at most " +
+          std::to_string(Fabric::kMaxRegions) + " regions");
+    }
     vps_.push_back(VantagePoint::cloud_vm(
         subject, region, world.region(region).name));
   }
@@ -55,9 +65,10 @@ Campaign::SweepChunkResult Campaign::sweep_chunk(
   TracerouteEngine engine(*forwarder_, chunk_seed, traceroute);
   SweepChunkResult result;
   // Adjacencies repeat heavily across traces into the same /24; dedup per
-  // chunk to keep the merge buffers small (the fabric's successor map is a
-  // set, so dropping duplicates changes nothing).
-  std::unordered_set<std::uint64_t> seen_adjacencies;
+  // chunk to keep the merge buffers small (the fabric keeps each pair once,
+  // so dropping duplicates changes nothing). result.adjacencies keeps
+  // first-sighting order.
+  FlatKeySet seen_adjacencies;
   // Fold one trace — primary or retry — into the chunk result. Returns
   // whether a candidate segment came out of it.
   const auto process = [&](const TracerouteRecord& record) {
@@ -74,7 +85,7 @@ Campaign::SweepChunkResult Campaign::sweep_chunk(
         const std::uint64_t key =
             (static_cast<std::uint64_t>(previous.value()) << 32) |
             hop.address.value();
-        if (seen_adjacencies.insert(key).second)
+        if (seen_adjacencies.insert(key))
           result.adjacencies.emplace_back(previous.value(),
                                           hop.address.value());
       }

@@ -1,18 +1,20 @@
 // The inferred fabric: the aggregation of every candidate interconnection
 // segment observed across the traceroute campaigns, deduplicated per
-// (ABI, CBI) pair, plus the hop-adjacency map the hybrid heuristic needs.
+// (ABI, CBI) pair, plus the hop-adjacency pairs the hybrid heuristic needs.
 // This is the central mutable state of the inference pipeline — verification
 // (§5) edits it in place and annotations are recomputed against the freshest
 // BGP snapshot.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "infer/annotate.h"
 #include "infer/border.h"
+#include "net/flat_hash.h"
 
 namespace cloudmap {
 
@@ -33,9 +35,9 @@ struct InferredSegment {
   Ipv4 prior_abi;  // most recent observation's prior hop
   Ipv4 post_cbi;   // most recent observation's next hop
   int first_round = 1;
-  std::unordered_set<std::uint32_t> regions;        // source regions
-  std::unordered_set<std::uint32_t> dest_slash24s;  // /24s reached through it
-  std::vector<Ipv4> sample_destinations;            // ≤ kMaxSampleDests
+  std::uint64_t regions = 0;                 // bit r: source region r
+  std::vector<std::uint32_t> dest_slash24s;  // /24s reached, ascending
+  std::vector<Ipv4> sample_destinations;     // ≤ kMaxSampleDests
   Confirmation confirmation = Confirmation::kUnconfirmed;
   bool shifted = false;  // corrected to the preceding segment (Fig. 2)
   // Multi-pass evidence feeding the per-segment confidence score
@@ -56,11 +58,18 @@ struct InferredSegment {
   bool operator==(const InferredSegment&) const = default;
 };
 
+// The source-region ids of a segment's region mask, ascending.
+std::vector<std::uint32_t> region_ids(std::uint64_t regions);
+
 class Fabric {
  public:
   static constexpr std::size_t kMaxSampleDests = 4;
+  // InferredSegment::regions has one bit per region id.
+  static constexpr std::uint32_t kMaxRegions = 64;
 
   // Merge one observation; creates or updates the (abi, cbi) segment.
+  // Throws std::out_of_range, leaving the fabric unchanged, when the
+  // candidate's region id is kMaxRegions or more.
   void add_segment(const CandidateSegment& candidate, int round);
 
   // Record a consecutive-responding-hop adjacency (for hybrid detection).
@@ -69,8 +78,12 @@ class Fabric {
   std::vector<InferredSegment>& segments() { return segments_; }
   const std::vector<InferredSegment>& segments() const { return segments_; }
 
-  // Successors of an address across all traceroutes.
-  const std::unordered_set<std::uint32_t>* successors_of(Ipv4 address) const;
+  // Distinct successors of an address across all traceroutes, in no
+  // particular order; empty when it has none. The span stays valid until
+  // the next add_adjacency. The first call after an add_adjacency indexes
+  // every pair (a pass over them, no sort), so that call must not race
+  // with another successors_of on the same fabric.
+  std::span<const std::uint32_t> successors_of(Ipv4 address) const;
 
   // Unique ABI / CBI address sets implied by the current segments.
   std::unordered_set<std::uint32_t> unique_abis() const;
@@ -100,10 +113,28 @@ class Fabric {
     return (static_cast<std::uint64_t>(abi.value()) << 32) | cbi.value();
   }
 
+  // successors_of's index entry: a run of successor_list_.
+  struct SuccessorRun {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+  };
+  // FlatHashMap reserves key 0; the tag bit keeps address 0.0.0.0 usable.
+  static std::uint64_t run_key(std::uint64_t from) {
+    return (std::uint64_t{1} << 32) | from;
+  }
+  void index_successors() const;
+
   std::vector<InferredSegment> segments_;
   std::unordered_map<std::uint64_t, std::size_t> index_;
-  std::unordered_map<std::uint32_t, std::unordered_set<std::uint32_t>>
-      successors_;
+  // Every distinct adjacency as from << 32 | to, and every distinct from.
+  FlatKeySet adjacencies_;
+  FlatKeySet adjacency_sources_;
+  // The successor index, built from adjacencies_ on the first
+  // successors_of after a new pair: each from's successors contiguous in
+  // successor_list_, found through successor_runs_.
+  mutable FlatHashMap<std::uint64_t, SuccessorRun> successor_runs_;
+  mutable std::vector<std::uint32_t> successor_list_;
+  mutable bool successors_indexed_ = false;
 };
 
 }  // namespace cloudmap

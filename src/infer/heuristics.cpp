@@ -20,11 +20,9 @@ bool HeuristicVerifier::cbi_in_ixp(const Fabric& fabric,
 }
 
 bool HeuristicVerifier::is_hybrid(const Fabric& fabric, Ipv4 address) const {
-  const auto* successors = fabric.successors_of(address);
-  if (successors == nullptr) return false;
   bool has_cloud_successor = false;
   bool has_client_successor = false;
-  for (const std::uint32_t next : *successors) {
+  for (const std::uint32_t next : fabric.successors_of(address)) {
     const HopAnnotation a = annotator_->annotate(Ipv4(next));
     if (a.org == subject_org_) {
       has_cloud_successor = true;
@@ -128,13 +126,11 @@ HeuristicCounts HeuristicVerifier::apply(Fabric& fabric) {
         InferredSegment& segment = fabric.segments()[index];
         if (segment.prior_abi.is_unspecified()) continue;
         if (!is_hybrid(fabric, segment.prior_abi)) continue;
-        const auto* successors = fabric.successors_of(abi);
-        bool all_client = successors != nullptr;
-        if (successors != nullptr) {
-          for (const std::uint32_t next : *successors) {
-            if (annotator_->annotate(Ipv4(next)).org == subject_org_)
-              all_client = false;
-          }
+        const auto successors = fabric.successors_of(abi);
+        bool all_client = !successors.empty();
+        for (const std::uint32_t next : successors) {
+          if (annotator_->annotate(Ipv4(next)).org == subject_org_)
+            all_client = false;
         }
         if (!all_client) continue;
         const Asn hint = annotator_->annotate(segment.cbi).asn;

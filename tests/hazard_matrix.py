@@ -14,7 +14,9 @@
 - `longitudinal_churn --out-dir` persists its snapshot sequence (it exits
   non-zero when a planted turnover event fails to reconstruct), the
   independent Python reader (tools/diff_snapshots.py) reads every step, and
-  `cloudmap_cli diff` reads steps 0 and 1.
+  `cloudmap_cli diff` reads steps 0 and 1;
+- a misspelt flag (`longitudinal_churn --out-dri elsewhere`) exits 2, names
+  the flag on stderr and writes no snapshot.
 
 Prove-it: the scorecard with every remote_rule block's `recovered` zeroed
 must fail --require-remote-recovery with exit 1.
@@ -29,7 +31,7 @@ import subprocess
 import sys
 import tempfile
 
-from metrics_artifact import CheckFailure, run, same_bytes, tool
+from metrics_artifact import CheckFailure, expect_output, run, same_bytes, tool
 
 SEED = "42"
 PROFILES = "loss,remote-peering,mpls,rate-limit,route-churn,churn,gauntlet"
@@ -68,6 +70,18 @@ def matrix(cli, churn, work):
     run([cli, "snapshot", SEED, "clean.snap", "--deterministic-metrics"],
         work)
     run([cli, "diff", "clean.snap", "gauntlet_a.snap"], work)
+
+    # A misspelt flag is refused, not dropped with the sequence written into
+    # the working directory.
+    os.mkdir(os.path.join(work, "misspelt"))
+    result = run([churn, "--out-dri", "elsewhere"],
+                 os.path.join(work, "misspelt"), expect_status=2)
+    expect_output(result, "unknown argument '--out-dri'")
+    written = glob.glob(os.path.join(work, "misspelt", "**", "world_t*.snap"),
+                        recursive=True)
+    if written:
+        raise CheckFailure("the refused command wrote " + ", ".join(written))
+    print("ok: the misspelt --out-dri flag was refused and wrote nothing")
 
     os.mkdir(os.path.join(work, "churn"))
     run([churn, "--out-dir", "churn"], work)

@@ -1,6 +1,9 @@
 // Campaign integration: rounds, expansion, Table-1 style accounting.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "fixtures.h"
 
 namespace cloudmap {
@@ -130,6 +133,31 @@ TEST(Campaign, PrivateVpisAreNeverDiscovered) {
     if (!ic.private_address) continue;
     const Ipv4 client = world.interface(ic.client_interface).address;
     EXPECT_EQ(cbis.count(client.value()), 0u) << client.to_string();
+  }
+}
+
+TEST(Campaign, RefusesRegionIdsTheFabricCannotRecord) {
+  // 68 regions: Amazon's ids stay below the fabric's 64-region mask,
+  // Oracle's last ones do not.
+  GeneratorConfig config = GeneratorConfig::small();
+  config.seed = 5;
+  config.metro_count = 40;
+  config.amazon_regions = 20;
+  config.microsoft_regions = 20;
+  config.google_regions = 20;
+  config.ibm_regions = 4;
+  config.oracle_regions = 4;
+  const World world = generate_world(config);
+  ASSERT_EQ(world.regions.size(), 68u);
+  const BgpSimulator sim(world);
+  const Forwarder forwarder(world, sim);
+  EXPECT_NO_THROW(Campaign(world, forwarder, CloudProvider::kAmazon, {}));
+  try {
+    const Campaign oracle(world, forwarder, CloudProvider::kOracle, {});
+    ADD_FAILURE() << "a region id of 64 or more was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("has id 64"), std::string::npos)
+        << error.what();
   }
 }
 

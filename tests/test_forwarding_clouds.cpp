@@ -2,15 +2,20 @@
 // peerings, redundant-session egress splitting, and ECMP determinism.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <unordered_set>
+#include <vector>
 
 #include "controlplane/bgp.h"
 #include "dataplane/forwarding.h"
 #include "fixtures.h"
+#include "net/geo.h"
+#include "util/rng.h"
 
 namespace cloudmap {
 namespace {
 
+using testfx::paper_world;
 using testfx::small_world;
 
 class CloudForwardingTest : public ::testing::Test {
@@ -144,6 +149,131 @@ TEST_F(CloudForwardingTest, ForeignCloudsCannotReachAmazonInfraSpace) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+// The cloud egress rule written from World ground truth alone, with none
+// of the forwarder's tables: candidates per prefix in interconnect order,
+// longest-prefix match by brute force, the announced origin (last insert
+// wins), hot-potato scores with the flow jitter, direct candidates first.
+class EgressReference {
+ public:
+  EgressReference(const World& world, CloudProvider cloud) : world_(world) {
+    for (const GroundTruthInterconnect& ic : world.interconnects) {
+      if (ic.cloud != cloud || ic.private_address) continue;
+      const auto add = [&](const Prefix& prefix) {
+        std::vector<LinkId>& links = candidates_[prefix];
+        links.push_back(ic.link);
+        if (ic.secondary_link.valid()) links.push_back(ic.secondary_link);
+      };
+      for (const Prefix& prefix : ic.announced_to_cloud) add(prefix);
+      add(Prefix(world.interface(ic.client_interface).address, 32));
+    }
+    for (const AutonomousSystem& as : world.ases) {
+      const auto it = world.as_by_asn.find(as.asn.value);
+      const AsId origin = it == world.as_by_asn.end() ? AsId{} : it->second;
+      for (const Prefix& prefix : as.announced_prefixes)
+        origins_[prefix] = origin;
+    }
+  }
+
+  // Whether the destination has candidates, none of them in its origin AS.
+  bool transit_only(Ipv4 dst) const {
+    const std::vector<LinkId>* links = longest_match(candidates_, dst);
+    if (links == nullptr) return false;
+    const AsId origin = origin_of(dst);
+    for (const LinkId link : *links)
+      if (origin.valid() && client_owner(link) == origin) return false;
+    return true;
+  }
+
+  // The egress a VM in `region` takes toward `dst`; invalid without a route.
+  LinkId egress(RegionId region, Ipv4 dst) const {
+    const std::vector<LinkId>* links = longest_match(candidates_, dst);
+    if (links == nullptr) return LinkId{};
+    const AsId origin = origin_of(dst);
+    const GeoPoint& metro = world_.metro(world_.region(region).metro).location;
+    LinkId best;
+    double best_score = 0.0;
+    bool best_direct = false;
+    for (const LinkId link : *links) {
+      const RouterId border =
+          world_.interface(world_.link(link).side_a).router;
+      const double km = haversine_km(metro, world_.router_location(border));
+      std::uint64_t state =
+          (static_cast<std::uint64_t>(dst.value()) << 32) ^
+          (link.value * 0x9e3779b97f4a7c15ULL);
+      const double j = static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
+      const double score = km * (1.0 + 0.35 * j) + j;
+      const bool direct = origin.valid() && client_owner(link) == origin;
+      // A direct candidate beats any transit one; then the lower score,
+      // then the earlier candidate.
+      if (!best.valid() || (direct && !best_direct) ||
+          (direct == best_direct && score < best_score)) {
+        best = link;
+        best_score = score;
+        best_direct = direct;
+      }
+    }
+    return best;
+  }
+
+ private:
+  template <typename Value>
+  static const Value* longest_match(const std::map<Prefix, Value>& table,
+                                    Ipv4 dst) {
+    for (int length = 32; length >= 0; --length) {
+      const auto it =
+          table.find(Prefix(dst, static_cast<std::uint8_t>(length)));
+      if (it != table.end()) return &it->second;
+    }
+    return nullptr;
+  }
+
+  AsId origin_of(Ipv4 dst) const {
+    const AsId* origin = longest_match(origins_, dst);
+    return origin == nullptr ? AsId{} : *origin;
+  }
+
+  AsId client_owner(LinkId link) const {
+    return world_.router_owner(
+        world_.interface(world_.link(link).side_b).router);
+  }
+
+  const World& world_;
+  std::map<Prefix, std::vector<LinkId>> candidates_;
+  std::map<Prefix, AsId> origins_;
+};
+
+TEST(CloudEgress, MatchesTheGroundTruthRuleFromEverySubjectRegion) {
+  const World& world = paper_world();
+  const BgpSimulator sim(world);
+  const Forwarder forwarder(world, sim);
+  const EgressReference reference(world, CloudProvider::kAmazon);
+
+  std::vector<Ipv4> destinations;
+  for (const GroundTruthInterconnect& ic : world.interconnects)
+    if (!ic.private_address)
+      destinations.push_back(world.interface(ic.client_interface).address);
+  for (const AutonomousSystem& as : world.ases)
+    for (const Prefix& prefix : as.announced_prefixes)
+      destinations.push_back(prefix.network().next(1));
+
+  std::size_t routed = 0;
+  std::size_t transit_only = 0;
+  for (const Ipv4 dst : destinations) {
+    if (reference.transit_only(dst)) ++transit_only;
+    for (const RegionId region : world.regions_of(CloudProvider::kAmazon)) {
+      const VantagePoint vm =
+          VantagePoint::cloud_vm(CloudProvider::kAmazon, region, "vm");
+      const LinkId expected = reference.egress(region, dst);
+      ASSERT_EQ(forwarder.path(vm, dst).egress_interconnect, expected)
+          << dst.to_string() << " from region " << region.value;
+      if (expected.valid()) ++routed;
+    }
+  }
+  // Both branches of the rule ran: a direct group, and the full scan.
+  EXPECT_GT(routed, destinations.size());
+  EXPECT_GT(transit_only, 0u);
 }
 
 }  // namespace

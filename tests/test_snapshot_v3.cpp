@@ -94,8 +94,10 @@ const std::filesystem::path kSnapshotCorpus =
 TEST(SnapshotV3, MappedOpenRejectsV1AndV2Files) {
   // Neither loader reads the retired layouts; both name the version.
   for (const int version : {1, 2}) {
-    const std::string bytes = read_file(
-        kSnapshotCorpus / ("v" + std::to_string(version) + ".snap"));
+    std::string name = "v";
+    name += std::to_string(version);
+    name += ".snap";
+    const std::string bytes = read_file(kSnapshotCorpus / name);
     ASSERT_GT(bytes.size(), 7u);
     ASSERT_EQ(bytes[6], version);
     const testfx::LoaderVerdicts v = testfx::both_loaders(bytes);

@@ -36,10 +36,11 @@ Rules (C++ unless noted):
                           clock(), getenv outside the allowlist (the obs
                           wall-clock layer, core/options env knobs).
   unordered-iteration     range-for / .begin() over a container declared
-                          unordered_map/unordered_set, inside serialization
-                          paths (src/io/, src/query/, src/scenario/,
-                          src/serve/, src/obs/emit.cpp), without a
-                          sorted-ok pragma.
+                          unordered_map/unordered_set (in the file, its
+                          sibling header, or any src/ header it includes,
+                          transitively), inside serialization paths
+                          (src/io/, src/query/, src/scenario/, src/serve/,
+                          src/obs/emit.cpp), without a sorted-ok pragma.
   raw-thread              std::thread (or #include <thread>) anywhere but
                           src/util/parallel.h.
   pragma-once             every header starts with #pragma once before any
@@ -290,6 +291,29 @@ def unordered_names(lines):
     return names
 
 
+LOCAL_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+
+
+def included_header_lines(root, lines, seen=None):
+    """Lines of every src/ header that `lines` include, transitively: a
+    member iterated here is often declared one or two headers away."""
+    seen = set() if seen is None else seen
+    out = []
+    for line in lines:
+        match = LOCAL_INCLUDE_RE.match(line)
+        if not match:
+            continue
+        header = os.path.normpath(os.path.join(root, "src", match.group(1)))
+        if header in seen or not os.path.isfile(header):
+            continue
+        seen.add(header)
+        with open(header, "r", encoding="utf-8", errors="replace") as fh:
+            header_lines = fh.read().splitlines()
+        out.extend(header_lines)
+        out.extend(included_header_lines(root, header_lines, seen))
+    return out
+
+
 def sibling_header_lines(abs_path):
     """Declarations for a .cpp often live in the sibling header (members
     like `by_peer_`); fold its names in when scanning the .cpp."""
@@ -303,7 +327,7 @@ def sibling_header_lines(abs_path):
         return fh.read().splitlines()
 
 
-def check_cpp(rel_path, abs_path, lines, findings):
+def check_cpp(root, rel_path, abs_path, lines, findings):
     check_empty_pragmas(rel_path, lines, findings)
 
     # --- nondeterministic-call
@@ -324,6 +348,7 @@ def check_cpp(rel_path, abs_path, lines, findings):
     if rel_path.startswith(ORDER_SENSITIVE) or rel_path in ORDER_SENSITIVE:
         names = unordered_names(lines)
         names |= unordered_names(sibling_header_lines(abs_path))
+        names |= unordered_names(included_header_lines(root, lines))
         if names:
             member_re = re.compile(
                 r"(?:^|[^\w])(%s)\b" % "|".join(map(re.escape, sorted(names))))
@@ -499,7 +524,7 @@ def lint_tree(root, paths):
             findings.append(Finding(rel_path, 1, "io-error", str(error)))
             continue
         if rel_path.endswith((".h", ".cpp", ".cc", ".hpp")):
-            check_cpp(rel_path, abs_path, lines, findings)
+            check_cpp(root, rel_path, abs_path, lines, findings)
         elif rel_path.endswith(".py"):
             check_python(rel_path, lines, findings)
     return findings

@@ -20,6 +20,7 @@ EXPECTED_RULE = {
     "bad_nondet_call": "nondeterministic-call",
     "bad_hazard_nondet": "nondeterministic-call",
     "bad_unordered_iter": "unordered-iteration",
+    "bad_unordered_iter_include": "unordered-iteration",
     "bad_raw_thread": "raw-thread",
     "bad_pragma_once": "pragma-once",
     "bad_include_order": "include-order",
